@@ -2,13 +2,15 @@
 
 Everything downstream (structure constants, cocycle solving, series
 coefficients) runs on :class:`GaussianRational`, a pair of
-``fractions.Fraction`` components.  Matrices are small and dense
-(``ExactMatrix``), but the big homogeneous systems that show up when solving
-for derivations/cocycles are handled by a sparse row-dict eliminator
+``fractions.Fraction`` components.  Real values (imaginary part zero, the
+case of every catalog structure constant) take a real-only branch that costs
+one ``Fraction`` operation.  Matrices are small and dense (``ExactMatrix``),
+but the big homogeneous systems that show up when solving for
+derivations/cocycles are handled by a sparse row-dict eliminator
 (:func:`kernel_basis_sparse`) plus an optional Monte-Carlo mod-p rank
 (:func:`nullity_mod_p`) for bulk property checks.  The mod-p path can only
-*underestimate* rank, and callers always fall back to the exact eliminator on
-any disagreement.
+*underestimate* rank; of its callers, only the suite's ``fingerprints`` check
+cross-checks it against the exact eliminator.
 """
 from __future__ import annotations
 
@@ -27,6 +29,25 @@ __all__ = [
     "MODP_PRIMES",
 ]
 
+# Both constructors (``GaussianRational()`` and ``_make``) store a zero
+# imaginary part as this one object, so "is real" is an identity test.
+_F0 = Fraction(0)
+
+
+def _fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"invalid scalar {_clip(x)}") from exc
+
+
+def _clip(x) -> str:
+    """repr of rejected input, cut to 40 characters for a one-line error."""
+    text = repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."
+
 
 class GaussianRational:
     """A number a + b*i with rational a, b."""
@@ -34,8 +55,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set_re(self, _fraction(re))
+        im = _fraction(im)
+        _set_im(self, im if im else _F0)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GaussianRational is immutable")
@@ -48,6 +70,7 @@ class GaussianRational:
 
         This is the little closed format used in the data files; general
         expressions (parameters, t) go through the expression parser instead.
+        A malformed literal or a zero denominator raises ``ValueError``.
         """
         s = text.replace(" ", "")
         if not s:
@@ -62,63 +85,83 @@ class GaussianRational:
         terms.append(s[start:])
         re = Fraction(0)
         im = Fraction(0)
-        for term in terms:
-            if term in ("i", "+i"):
-                im += 1
-            elif term == "-i":
-                im -= 1
-            elif term.endswith("*i"):
-                im += Fraction(term[:-2])
-            elif term.endswith("i"):
-                im += Fraction(term[:-1] or "1")
-            else:
-                re += Fraction(term)
+        try:
+            for term in terms:
+                if term in ("i", "+i"):
+                    im += 1
+                elif term == "-i":
+                    im -= 1
+                elif term.endswith("*i"):
+                    im += Fraction(term[:-2])
+                elif term.endswith("i"):
+                    im += Fraction(term[:-1] or "1")
+                else:
+                    re += Fraction(term)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"invalid scalar {_clip(text)}") from exc
         return GaussianRational(re, im)
 
     # -- predicates --------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.im is not _F0 or bool(self.re)
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Each operator tests for real operands (imaginary part ``_F0``) first;
+    # complex operands use the textbook formulas.  Results go through
+    # ``_make``, which takes two ready Fractions and re-validates nothing.
 
     def __add__(self, other):
-        other = grat(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = grat(other)
+        if self.im is _F0 and other.im is _F0:
+            return _make(self.re + other.re, _F0)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = grat(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = grat(other)
+        if self.im is _F0 and other.im is _F0:
+            return _make(self.re - other.re, _F0)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return grat(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        if self.im is _F0:
+            return _make(-self.re, _F0)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = grat(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = grat(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if d is _F0:
+            if b is _F0:
+                return _make(a * c, _F0)
+            return _make(a * c, b * c)
+        if b is _F0:
+            return _make(a * c, a * d)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = grat(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussianRational:
+            other = grat(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if d is _F0:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            if b is _F0:
+                return _make(a / c, _F0)
+            return _make(a / c, b / c)
+        n = c * c + d * d
+        return _make((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         return grat(other) / self
@@ -126,6 +169,10 @@ class GaussianRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("only integer powers on GaussianRational")
+        if self.im is _F0:
+            if k < 0 and not self.re:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _make(self.re**k, _F0)
         if k < 0:
             return ONE / (self ** (-k))
         out = ONE
@@ -138,19 +185,22 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        if self.im is _F0:
+            return self
+        return _make(self.re, -self.im)
 
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = grat(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            try:
+                other = grat(other)
+            except TypeError:
+                return NotImplemented
+        return self.re == other.re and (self.im is other.im or self.im == other.im)
 
     def __hash__(self):
-        if self.im == 0:
+        if self.im is _F0:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -174,6 +224,19 @@ class GaussianRational:
         return f"GaussianRational({self})"
 
 
+_alloc = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """The allocator behind every arithmetic result: two ready Fractions."""
+    z = _alloc(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im if im is _F0 or im else _F0)
+    return z
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
@@ -181,7 +244,7 @@ I = GaussianRational(0, 1)
 
 def grat(x) -> GaussianRational:
     """Coerce ints, Fractions and strings into GaussianRational."""
-    if isinstance(x, GaussianRational):
+    if type(x) is GaussianRational or isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)

@@ -472,7 +472,9 @@ class Radical:
             for d2, c2 in other.terms:
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                v = c1 * c2 * grat(g)
+                v = c1 * c2
+                if g != 1:
+                    v = v * g
                 data[d] = data.get(d, ZERO) + v
         return self._make(data)
 

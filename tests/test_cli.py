@@ -265,6 +265,16 @@ def test_data_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "degenerate", "--cert", str(missing))[0] == 2
 
 
+@pytest.mark.parametrize("value", ["1/0", "1/2*i*i", "one"])
+def test_malformed_scalar_in_file_exits_2(capsys, tmp_path, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": [[1, 1, 2, value]]}))
+    code, out, err = run(capsys, "identity", "--file", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid scalar") and err.count("\n") == 1
+
+
 def test_excluded_family_value_exits_2(capsys):
     code, _, err = run(capsys, "catalog", "get", "--algebra", "Z_30^-1")
     assert code == 2

@@ -146,3 +146,118 @@ def test_modp_prime_properties():
     for p in MODP_PRIMES:
         assert p % 4 == 1
         assert pow(2, p - 1, p) == 1  # Fermat check, all are genuine primes
+
+
+# ---------------------------------------------------------------------------
+# real-only fast path: every operand pairing agrees with the complex formula
+# ---------------------------------------------------------------------------
+
+nonzero_fractions = small_fractions.filter(bool)
+real_scalars = st.builds(GaussianRational, small_fractions)
+complex_scalars = st.builds(GaussianRational, small_fractions, nonzero_fractions)
+KINDS = {"real": real_scalars, "complex": complex_scalars}
+PAIRINGS = [(x, y) for x in KINDS for y in KINDS]
+
+
+def _pair(z):
+    return (z.re, z.im)
+
+
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+def _pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _mul(out, x)
+    return out if k >= 0 else _div((Fraction(1), Fraction(0)), out)
+
+
+def _assert_exact(z, expected):
+    assert type(z) is GaussianRational
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert _pair(z) == expected
+
+
+@pytest.mark.parametrize("kinds", PAIRINGS, ids="-".join)
+@given(data=st.data())
+def test_binary_ops_match_complex_formula(kinds, data):
+    x = data.draw(KINDS[kinds[0]])
+    y = data.draw(KINDS[kinds[1]])
+    (a, b), (c, d) = _pair(x), _pair(y)
+    _assert_exact(x + y, (a + c, b + d))
+    _assert_exact(x - y, (a - c, b - d))
+    _assert_exact(x * y, _mul((a, b), (c, d)))
+    if y:
+        _assert_exact(x / y, _div((a, b), (c, d)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), k=st.integers(-4, 5))
+def test_unary_ops_match_complex_formula(kind, data, k):
+    x = data.draw(KINDS[kind])
+    a, b = _pair(x)
+    _assert_exact(-x, (-a, -b))
+    _assert_exact(x.conjugate(), (a, -b))
+    if x or k >= 0:
+        _assert_exact(x**k, _pow((a, b), k))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**k
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), q=small_fractions, n=st.integers(-50, 50))
+def test_mixed_operands_coerce(kind, data, q, n):
+    x = data.draw(KINDS[kind])
+    for r in (q, n):
+        g = GaussianRational(r)
+        _assert_exact(x + r, _pair(x + g))
+        _assert_exact(r - x, _pair(g - x))
+        _assert_exact(r * x, _pair(g * x))
+        if r:
+            _assert_exact(x / r, _pair(x / g))
+
+
+@given(small_fractions, st.integers(-10**30, 10**30))
+def test_real_values_hash_and_compare_like_fractions(q, n):
+    for r in (q, n, Fraction(n, 7)):
+        g = GaussianRational(r)
+        assert g == r and r == g
+        assert hash(g) == hash(r)
+        assert type(g.re) is Fraction and type(g.im) is Fraction
+
+
+@given(complex_scalars)
+def test_real_results_of_complex_arithmetic_hash_like_fractions(z):
+    n = z * z.conjugate()
+    assert n.im == 0
+    assert n == n.re and hash(n) == hash(n.re)
+    assert (z - z) == 0 and hash(z - z) == hash(0) and not (z - z)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "0/0", "-3/0*i", "abc", "1//2", "i*i", "+", "1/2-", "2**3"]
+)
+def test_malformed_scalar_raises_one_line_value_error(text):
+    with pytest.raises(ValueError) as info:
+        grat(text)
+    assert "\n" not in str(info.value)
+
+
+def test_constructor_rejects_bad_values_with_value_error():
+    for bad in ("1/0", float("inf"), float("nan"), "x" * 500):
+        with pytest.raises(ValueError) as info:
+            GaussianRational(0, bad)
+        assert len(str(info.value)) < 80
