@@ -4,58 +4,28 @@
 Examples:
     python scripts/verify_catalog.py
     python scripts/verify_catalog.py --checks identity,h2 --format json
-    python scripts/verify_catalog.py --jobs 4
 """
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from zinbiel5.catalog import SuiteConfig, verify_all
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    checks: tuple = ()
-    mode: str = "auto"
-    trunc: int = 16
-    jobs: int = 1
-    seed: int = 0
-    fmt: str = "text"
-
-    def suite(self) -> SuiteConfig:
-        return SuiteConfig(
-            checks=self.checks,
-            mode=self.mode,
-            trunc=self.trunc,
-            jobs=self.jobs,
-            seed=self.seed,
-        )
-
-
-def parse_args(argv=None) -> RunConfig:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--checks", default="", help="comma-separated subset")
     parser.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
     parser.add_argument("--truncation", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     ns = parser.parse_args(argv)
-    return RunConfig(
+    config = SuiteConfig(
         checks=tuple(c for c in ns.checks.split(",") if c),
         mode=ns.mode,
         trunc=ns.truncation,
-        jobs=ns.jobs,
-        seed=ns.seed,
-        fmt=ns.format,
     )
-
-
-def main(argv=None) -> int:
-    config = parse_args(argv)
-    report = verify_all(config.suite())
-    print(report.as_json() if config.fmt == "json" else report.as_text())
+    report = verify_all(config)
+    print(report.as_json() if ns.format == "json" else report.as_text())
     return 0 if report.ok else 1
 
 

@@ -51,9 +51,6 @@ class Algebra:
     label: str = ""
     params: tuple = ()  # ((symbol, value), ...) when instantiated from a family
 
-    def basis_product(self, i: int, j: int) -> tuple:
-        return self.c[i][j]
-
     def entries(self):
         """Yield nonzero entries as 1-based (i, j, k, coeff)."""
         for i in range(self.dim):
@@ -205,27 +202,20 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def annihilator(A: Algebra):
-    """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors."""
+def _annihilator_rows(A: Algebra):
+    """Rows of x e_j = e_j x = 0 in the coordinates of x, one per (j, k)."""
     n = A.dim
     rows = []
     for j in range(n):
         for k in range(n):
-            row = {}
-            for i in range(n):
-                v = A.c[i][j][k]
-                if v:
-                    row[i] = v
-            if row:
-                rows.append(row)
-            row = {}
-            for m in range(n):
-                v = A.c[j][m][k]
-                if v:
-                    row[m] = v
-            if row:
-                rows.append(row)
-    return kernel_basis_sparse(rows, n)
+            rows.append({i: A.c[i][j][k] for i in range(n) if A.c[i][j][k]})
+            rows.append({m: A.c[j][m][k] for m in range(n) if A.c[j][m][k]})
+    return [row for row in rows if row]
+
+
+def annihilator(A: Algebra):
+    """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors."""
+    return kernel_basis_sparse(_annihilator_rows(A), A.dim)
 
 
 def span_dimension(vectors) -> int:

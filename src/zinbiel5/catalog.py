@@ -8,7 +8,6 @@ constraint sets, and the expected invariant values the suite checks against.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -554,8 +553,6 @@ class SuiteConfig:
     checks: tuple = ()  # empty = all, in canonical order
     mode: str = "auto"  # certificate verification tier
     trunc: int = 16
-    jobs: int = 1
-    seed: int = 0
     samples: tuple = SPEC_SAMPLES
     overrides: tuple = ()  # ((id, Algebra), …) test seam for mutation checks
 
@@ -847,17 +844,10 @@ class _Suite:
     def _certificate_reports(self):
         if not hasattr(self, "_cert_cache"):
             certs = certificates()
-
-            def run(cert):
-                return verify_certificate(
-                    cert, mode=self.config.mode, trunc=self.config.trunc
-                )
-
-            if self.config.jobs > 1:
-                with ThreadPoolExecutor(self.config.jobs) as pool:
-                    reports = list(pool.map(run, certs))
-            else:
-                reports = [run(c) for c in certs]
+            reports = [
+                verify_certificate(c, mode=self.config.mode, trunc=self.config.trunc)
+                for c in certs
+            ]
             self._cert_cache = list(zip(certs, reports))
         return self._cert_cache
 
@@ -906,8 +896,8 @@ class _Suite:
                 bad.append(f"{cert.label}: power dims do not dominate")
             if not ncr.ann_not_larger:
                 bad.append(f"{cert.label}: annihilator shrinks")
-            der_src = derivation_dimension(source, method="modular")
-            der_tgt = derivation_dimension(target, method="modular")
+            der_src = derivation_dimension(source)
+            der_tgt = derivation_dimension(target)
             if family_indexed:
                 n_family += 1
                 if der_src > der_tgt:

@@ -141,7 +141,17 @@ def _algebra_from_file(path: str) -> Algebra:
     if not isinstance(raw, dict) or "dim" not in raw or "entries" not in raw:
         raise CatalogError(f"{path}: expected an object with dim and entries")
     label = raw.get("label") or raw.get("id") or path
-    return algebra_from_entries(int(raw["dim"]), raw["entries"], label=label)
+    entries = [(i, j, k, _file_scalar(v)) for i, j, k, v in raw["entries"]]
+    return algebra_from_entries(int(raw["dim"]), entries, label=label)
+
+
+def _file_scalar(v):
+    """A scalar in an algebra file is exact: a JSON integer or string."""
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    text = json.dumps(v)
+    text = text if len(text) <= 40 else text[:37] + "..."
+    raise ValueError(f"invalid scalar {text}: expected an integer or a string")
 
 
 def _resolve_algebra(args) -> Algebra:
@@ -570,8 +580,6 @@ def _cmd_catalog(args) -> int:
         checks=checks,
         mode=args.mode,
         trunc=args.truncation,
-        jobs=args.jobs,
-        seed=args.seed,
     )
     report = verify_all(config)
     if args.format == "json":
@@ -684,8 +692,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", metavar="C1,C2", help="subset of suite checks")
     p.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
     p.add_argument("--truncation", type=int, default=16, metavar="ORDER")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
     p.set_defaults(fn=_cmd_catalog)
 
     return parser

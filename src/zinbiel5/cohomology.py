@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, algebra_from_entries, annihilator
+from .algebra import Algebra, _annihilator_rows, algebra_from_entries, annihilator
 from .exactmath import (
     ZERO,
     ONE,
@@ -88,22 +88,20 @@ def _sym(A: Algebra, j: int, k: int):
 
 
 def is_cocycle(A: Algebra, mat: ExactMatrix) -> bool:
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            prod = A.c[i][j]
-            for k in range(n):
-                lhs = sum((prod[m] * mat.rows[m][k] for m in range(n)), ZERO)
-                s = _sym(A, j, k)
-                rhs = sum((s[m] * mat.rows[i][m] for m in range(n)), ZERO)
-                if lhs != rhs:
-                    return False
-    return True
+    """Does ``mat`` satisfy every equation of the cocycle system?"""
+    x = _vec(mat)
+    return not any(
+        sum((v * x[c] for c, v in row.items()), ZERO) for row in _cocycle_rows(A)
+    )
 
 
 def _cocycle_rows(A: Algebra):
-    """Sparse rows of the cocycle system in unknowns theta[i][j] -> i*n+j."""
+    """Sparse rows of theta(e_i e_j, e_k) = theta(e_i, e_j e_k + e_k e_j).
+
+    The unknowns are theta[i][j] -> column i*n+j.
+    """
     n = A.dim
+    sym = [[_sym(A, j, k) for k in range(n)] for j in range(n)]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -115,7 +113,7 @@ def _cocycle_rows(A: Algebra):
                     if v:
                         col = m * n + k
                         row[col] = row.get(col, ZERO) + v
-                s = _sym(A, j, k)
+                s = sym[j][k]
                 for m in range(n):
                     v = s[m]
                     if v:
@@ -193,19 +191,20 @@ def h2(A: Algebra) -> CohomologyBasis:
     return CohomologyBasis(tuple(z2), tuple(b2), tuple(reps))
 
 
-def cocycle_annihilator(A_or_n, form: CocycleForm):
-    """Basis of { x : theta(x, V) = theta(V, x) = 0 } for all components."""
+def _form_annihilator_rows(form: CocycleForm):
+    """Rows of theta(x, e_j) = theta(e_j, x) = 0 in the coordinates of x."""
     n = form.dim
     rows = []
     for mat in form.mats:
         for j in range(n):
-            col = {i: mat.rows[i][j] for i in range(n) if mat.rows[i][j]}
-            if col:
-                rows.append(col)
-            row = {m: mat.rows[j][m] for m in range(n) if mat.rows[j][m]}
-            if row:
-                rows.append(row)
-    return kernel_basis_sparse(rows, n)
+            rows.append({i: mat.rows[i][j] for i in range(n) if mat.rows[i][j]})
+            rows.append({m: mat.rows[j][m] for m in range(n) if mat.rows[j][m]})
+    return [row for row in rows if row]
+
+
+def cocycle_annihilator(A_or_n, form: CocycleForm):
+    """Basis of { x : theta(x, V) = theta(V, x) = 0 } for all components."""
+    return kernel_basis_sparse(_form_annihilator_rows(form), form.dim)
 
 
 def central_extension(A: Algebra, form: CocycleForm, label: str = "") -> Algebra:
@@ -275,24 +274,7 @@ def extension_wellformed(A: Algebra, form: CocycleForm) -> WellformedReport:
     """
     n, s = A.dim, form.components
     # intersection of Ann(theta) and Ann(A): stack both linear systems
-    rows = []
-    for mat in form.mats:
-        for j in range(n):
-            col = {i: mat.rows[i][j] for i in range(n) if mat.rows[i][j]}
-            if col:
-                rows.append(col)
-            rrow = {m: mat.rows[j][m] for m in range(n) if mat.rows[j][m]}
-            if rrow:
-                rows.append(rrow)
-    for j in range(n):
-        for k in range(n):
-            col = {i: A.c[i][j][k] for i in range(n) if A.c[i][j][k]}
-            if col:
-                rows.append(col)
-            rrow = {m: A.c[j][m][k] for m in range(n) if A.c[j][m][k]}
-            if rrow:
-                rows.append(rrow)
-    inter = kernel_basis_sparse(rows, n)
+    inter = kernel_basis_sparse(_form_annihilator_rows(form) + _annihilator_rows(A), n)
     inter_dim = len(inter)
 
     b2 = [_vec(m) for m in coboundary_space(A)]

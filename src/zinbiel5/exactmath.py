@@ -4,13 +4,15 @@ Everything downstream (structure constants, cocycle solving, series
 coefficients) runs on :class:`GaussianRational`, a pair of
 ``fractions.Fraction`` components.  Real values (imaginary part zero, the
 case of every catalog structure constant) take a real-only branch that costs
-one ``Fraction`` operation.  Matrices are small and dense (``ExactMatrix``),
-but the big homogeneous systems that show up when solving for
-derivations/cocycles are handled by a sparse row-dict eliminator
-(:func:`kernel_basis_sparse`) plus an optional Monte-Carlo mod-p rank
-(:func:`nullity_mod_p`) for bulk property checks.  The mod-p path can only
-*underestimate* rank; of its callers, only the suite's ``fingerprints`` check
-cross-checks it against the exact eliminator.
+one ``Fraction`` operation.
+
+One eliminator, :func:`_sparse_rref`, row-reduces every linear system: the
+dense ``ExactMatrix`` methods, the sparse derivation/cocycle systems
+(:func:`rank_sparse`, :func:`kernel_basis_sparse`) and, with entries reduced
+mod a prime, the Monte-Carlo rank :func:`nullity_mod_p`.  The mod-p path can
+only *underestimate* rank; its one caller in the suite, the ``fingerprints``
+check, cross-checks it against the exact path.  ``ExactMatrix.det`` keeps its
+own elimination as an independent oracle for rank.
 """
 from __future__ import annotations
 
@@ -332,44 +334,23 @@ class ExactMatrix:
     def scale(self, c) -> "ExactMatrix":
         return self * grat(c)
 
+    def _sparse_rows(self):
+        return [{c: x for c, x in enumerate(row) if x} for row in self.rows]
+
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, pivot column tuple)."""
-        m = [list(row) for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = next((k for k in range(r, self.nrows) if m[k][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for k in range(self.nrows):
-                if k != r and m[k][c]:
-                    f = m[k][c]
-                    m[k] = [a - f * b for a, b in zip(m[k], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return ExactMatrix(m), tuple(pivots)
+        pivots = _sparse_rref(self._sparse_rows())
+        order = sorted(pivots)
+        rows = [[pivots[p].get(c, ZERO) for c in range(self.ncols)] for p in order]
+        rows += [[ZERO] * self.ncols for _ in range(self.nrows - len(order))]
+        return ExactMatrix(rows), tuple(order)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return rank_sparse(self._sparse_rows(), self.ncols)
 
     def kernel_basis(self):
         """RREF-canonical basis of the right kernel, as row vectors."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            basis.append(tuple(v))
-        return basis
+        return kernel_basis_sparse(self._sparse_rows(), self.ncols)
 
     def solve(self, b):
         """One exact solution of A x = b, or None if inconsistent."""
@@ -422,9 +403,6 @@ class ExactMatrix:
             raise ValueError("matrix is singular")
         return ExactMatrix([row[n:] for row in red.rows])
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def __repr__(self):
         body = "; ".join(
             "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows
@@ -433,58 +411,63 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# sparse homogeneous systems
+# the eliminator: sparse rows over Q(i), or over GF(p) when p is given
 # ---------------------------------------------------------------------------
 
 
-def _reduce_against(row: dict, pivots: dict) -> dict:
-    """Reduce a sparse row (col -> coeff) against normalized pivot rows."""
+def _subtract(row: dict, f, pivot: dict, p) -> None:
+    """row -= f * pivot in place (mod p when p is given), dropping zeros."""
+    for c, v in pivot.items():
+        nv = row[c] - f * v if c in row else -f * v
+        if p:
+            nv %= p
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+
+
+def _reduce_against(row: dict, pivots: dict, p=None) -> dict:
+    """A copy of a sparse row (col -> coeff) with every pivot column cleared.
+
+    One pass suffices: each pivot row is zero in every other pivot column.
+    """
     row = dict(row)
-    # iterate until no pivot column remains in the row
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(row):
-            if c in pivots:
-                f = row[c]
-                for cc, v in pivots[c].items():
-                    nv = row.get(cc, ZERO) - f * v
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-                changed = True
-                break
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row[c], pivots[c], p)
     return row
 
 
-def _sparse_rref(rows, ncols):
-    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict."""
+def _sparse_rref(rows, p=None):
+    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict.
+
+    Entries are GaussianRationals, or ints in [0, p) for a prime ``p``.
+    Each pivot row is normalized (1 at its pivot, its least column) and
+    kept zero in every other pivot column.
+    """
     pivots: dict[int, dict] = {}
     for row in rows:
-        red = _reduce_against(row, pivots)
+        red = _reduce_against(row, pivots, p)
         if not red:
             continue
         lead = min(red)
-        inv = ONE / red[lead]
-        norm = {c: v * inv for c, v in red.items()}
+        if p is None:
+            inv = ONE / red[lead]
+            norm = {c: v * inv for c, v in red.items()}
+        else:
+            inv = pow(red[lead], p - 2, p)
+            norm = {c: v * inv % p for c, v in red.items()}
         # eliminate the new pivot column from existing pivot rows
-        for pc, prow in pivots.items():
+        for prow in pivots.values():
             if lead in prow:
-                f = prow[lead]
-                for cc, v in norm.items():
-                    nv = prow.get(cc, ZERO) - f * v
-                    if nv:
-                        prow[cc] = nv
-                    else:
-                        prow.pop(cc, None)
+                _subtract(prow, prow[lead], norm, p)
         pivots[lead] = norm
     return pivots
 
 
 def rank_sparse(rows, ncols: int) -> int:
     """Rank of a sparse system given as iterables of {col: coeff} rows."""
-    return len(_sparse_rref(rows, ncols))
+    return len(_sparse_rref(rows))
 
 
 def kernel_basis_sparse(rows, ncols: int):
@@ -494,7 +477,7 @@ def kernel_basis_sparse(rows, ncols: int):
     of dense tuple vectors of length ncols, one per free column, ordered by
     free column index.
     """
-    pivots = _sparse_rref(rows, ncols)
+    pivots = _sparse_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -508,7 +491,7 @@ def kernel_basis_sparse(rows, ncols: int):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo mod-p rank (fast path; exact fallback is the caller's job)
+# Monte-Carlo mod-p rank (exact fallback is the caller's job)
 # ---------------------------------------------------------------------------
 
 # NTT-style primes, all = 1 mod 4 so that i has a square root mod p.
@@ -546,37 +529,5 @@ def nullity_mod_p(rows, ncols: int, p: int = MODP_PRIMES[0]) -> int:
     Raises ZeroDivisionError if a denominator vanishes mod p (retry with
     another prime from MODP_PRIMES).
     """
-    import numpy as np
-
-    mat_rows = []
-    for row in rows:
-        if not row:
-            continue
-        dense = [0] * ncols
-        for c, v in row.items():
-            dense[c] = _grat_mod(v, p)
-        mat_rows.append(dense)
-    if not mat_rows:
-        return ncols
-    m = np.array(mat_rows, dtype=np.int64) % p
-    nrows = m.shape[0]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for k in range(r, nrows):
-            if m[k, c]:
-                piv = k
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[r + 1 :, c]
-        if col.any():
-            m[r + 1 :] = (m[r + 1 :] - np.outer(col, m[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return ncols - r
+    rows = [{c: m for c, v in row.items() if (m := _grat_mod(v, p))} for row in rows]
+    return ncols - len(_sparse_rref(rows, p))

@@ -629,11 +629,6 @@ class PuiseuxSeries:
             return None
         return Fraction(self.coeffs[0][0], self.ram)
 
-    def leading_coefficient(self) -> Radical:
-        if not self.coeffs:
-            raise ValueError("series has no known nonzero term")
-        return self.coeffs[0][1]
-
     def coefficient(self, exp) -> Radical:
         exp = Fraction(exp)
         if self.prec is not None and exp >= Fraction(self.prec, self.ram):

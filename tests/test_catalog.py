@@ -1,6 +1,10 @@
 """Catalog data integrity and verification-suite behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -326,3 +330,19 @@ def test_family_members_satisfy_defining_identity(q):
 def test_two_parameter_members_satisfy_defining_identity(q1, q2):
     A = cat.get("V_4+1", {"lam": q1, "mu": q2})
     assert check_identity(A, "zinbiel").ok
+
+
+def test_suite_runs_without_numpy():
+    """The mod-p and exact paths of the suite never import numpy."""
+    script = (
+        "import sys\n"
+        "from zinbiel5.catalog import SuiteConfig, verify_all\n"
+        "assert verify_all(SuiteConfig(checks=('fingerprints', 'necessary'))).ok\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -265,7 +265,7 @@ def test_data_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "degenerate", "--cert", str(missing))[0] == 2
 
 
-@pytest.mark.parametrize("value", ["1/0", "1/2*i*i", "one"])
+@pytest.mark.parametrize("value", ["1/0", "1/2*i*i", "one", 0.5, None])
 def test_malformed_scalar_in_file_exits_2(capsys, tmp_path, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "entries": [[1, 1, 2, value]]}))

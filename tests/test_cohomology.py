@@ -6,6 +6,7 @@ from zinbiel5.algebra import (
     annihilator,
     check_identity,
     power_filtration,
+    product,
     zero_algebra,
 )
 from zinbiel5.cohomology import (
@@ -226,3 +227,44 @@ def test_cocycle_space_closed_under_addition(f, g):
         assert is_cocycle(base, mat(total))
         joined = vecs + [tuple(x for row in mat(total).rows for x in row)]
         assert ExactMatrix(joined).rank() == span_rank
+
+
+@st.composite
+def algebras_with_forms(draw):
+    """A random sparse algebra with a cocycle from Z^2 or an arbitrary form."""
+    n = draw(st.integers(2, 3))
+    idx = st.integers(1, n)
+    entries = draw(st.lists(st.tuples(idx, idx, idx, st.integers(-2, 2)), max_size=4))
+    base = algebra_from_entries(n, entries)
+    vals = st.integers(-2, 2)
+    if draw(st.booleans()):
+        total = ExactMatrix.zeros(n, n)
+        for z in cocycle_space(base):
+            total = total + z * draw(vals)
+        return base, total
+    return base, ExactMatrix([[draw(vals) for _ in range(n)] for _ in range(n)])
+
+
+def _satisfies_cocycle_definition(base, m):
+    """theta(e_i e_j, e_k) = theta(e_i, e_j e_k + e_k e_j) for all i, j, k."""
+    n = base.dim
+    e = [tuple(ONE if a == b else ZERO for b in range(n)) for a in range(n)]
+
+    def theta(x, y):
+        return sum((x[a] * m.rows[a][b] * y[b] for a in range(n) for b in range(n)), ZERO)
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                jk = product(base, e[j], e[k])
+                kj = product(base, e[k], e[j])
+                sym = tuple(a + b for a, b in zip(jk, kj))
+                if theta(product(base, e[i], e[j]), e[k]) != theta(e[i], sym):
+                    return False
+    return True
+
+
+@given(algebras_with_forms())
+def test_is_cocycle_matches_definition(case):
+    base, m = case
+    assert is_cocycle(base, m) == _satisfies_cocycle_definition(base, m)

@@ -128,17 +128,51 @@ def _to_sparse(m):
     ], m.ncols
 
 
+def _textbook_rref(m):
+    """Reference Gauss-Jordan, column by column, on lists of GaussianRational."""
+    rows = [list(row) for row in m.rows]
+    pivots = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        pr = next((k for k in range(r, m.nrows) if rows[k][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(m.nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _textbook_kernel(m):
+    red, pivots = _textbook_rref(m)
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [ZERO] * m.ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
 @given(matrices())
 def test_sparse_matches_dense(m):
     rows, ncols = _to_sparse(m)
-    assert rank_sparse(rows, ncols) == m.rank()
-    assert kernel_basis_sparse(rows, ncols) == m.kernel_basis()
+    red, pivots = _textbook_rref(m)
+    assert m.rref() == (ExactMatrix(red), tuple(pivots))
+    assert rank_sparse(rows, ncols) == m.rank() == len(pivots)
+    assert kernel_basis_sparse(rows, ncols) == m.kernel_basis() == _textbook_kernel(m)
 
 
 @given(matrices())
 def test_modp_nullity_matches_exact(m):
     rows, ncols = _to_sparse(m)
-    exact = len(m.kernel_basis())
+    exact = len(_textbook_kernel(m))
     assert nullity_mod_p(rows, ncols, MODP_PRIMES[0]) == exact
 
 
