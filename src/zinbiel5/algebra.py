@@ -268,30 +268,35 @@ def power_filtration(A: Algebra) -> PowerFiltration:
         powers.append(new_basis)
 
 
+def _nonzero_constants(A: Algebra):
+    """The nonzero structure constants: [i][j] -> [(k, c[i][j][k])], k ascending."""
+    return [[[(k, v) for k, v in enumerate(A.c[i][j]) if v] for j in range(A.dim)]
+            for i in range(A.dim)]
+
+
 def _derivation_rows(A: Algebra):
     """Sparse rows of the Leibniz system in unknowns D[r][s] -> col r*n+s."""
     n = A.dim
+    by_ij = _nonzero_constants(A)
+    by_jm = [[[] for _ in range(n)] for _ in range(n)]  # [j][m] -> [(p, c[p][j][m])]
+    by_im = [[[] for _ in range(n)] for _ in range(n)]  # [i][m] -> [(q, c[i][q][m])]
+    for i in range(n):
+        for j in range(n):
+            for k, v in by_ij[i][j]:
+                by_jm[j][k].append((i, v))
+                by_im[i][k].append((j, v))
     rows = []
     for i in range(n):
         for j in range(n):
-            plane = A.c[i][j]
+            prod = by_ij[i][j]
             for m in range(n):
-                row = {}
-                for k in range(n):
-                    v = plane[k]
-                    if v:
-                        col = k * n + m
-                        row[col] = row.get(col, ZERO) + v
-                for p in range(n):
-                    v = A.c[p][j][m]
-                    if v:
-                        col = i * n + p
-                        row[col] = row.get(col, ZERO) - v
-                for q in range(n):
-                    v = A.c[i][q][m]
-                    if v:
-                        col = j * n + q
-                        row[col] = row.get(col, ZERO) - v
+                row = {k * n + m: v for k, v in prod}
+                for p, v in by_jm[j][m]:
+                    col = i * n + p
+                    row[col] = row.get(col, ZERO) - v
+                for q, v in by_im[i][m]:
+                    col = j * n + q
+                    row[col] = row.get(col, ZERO) - v
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     rows.append(row)

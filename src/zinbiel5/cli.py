@@ -55,48 +55,39 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _vector_text(vec) -> str:
-    """Render a coordinate vector as a combination of basis vectors."""
-    terms = []
-    for i, v in enumerate(vec, start=1):
+def _combination(terms) -> str:
+    """Join (coefficient, symbol) pairs as ``c1*s1+c2*s2``, skipping zeros.
+
+    A coefficient with nonzero real and imaginary parts is parenthesized.
+    """
+    out = ""
+    for v, sym in terms:
         if not v:
             continue
-        if v == grat(1):
-            t = f"e{i}"
-        elif v == grat(-1):
-            t = f"-e{i}"
+        if v == 1:
+            t = sym
+        elif v == -1:
+            t = f"-{sym}"
+        elif v.re and v.im:
+            t = f"({v})*{sym}"
         else:
-            t = f"{v}*e{i}"
-        terms.append(t)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
+            t = f"{v}*{sym}"
+        out += t if not out or t.startswith("-") else "+" + t
+    return out or "0"
+
+
+def _vector_text(vec) -> str:
+    """Render a coordinate vector as a combination of basis vectors."""
+    return _combination((v, f"e{i}") for i, v in enumerate(vec, start=1))
 
 
 def _form_text(mat: ExactMatrix) -> str:
     """Render a bilinear form as a combination of Delta_ij symbols."""
-    terms = []
-    for i in range(mat.nrows):
-        for j in range(mat.ncols):
-            v = mat.rows[i][j]
-            if not v:
-                continue
-            if v == grat(1):
-                t = f"D{i + 1}{j + 1}"
-            elif v == grat(-1):
-                t = f"-D{i + 1}{j + 1}"
-            else:
-                t = f"{v}*D{i + 1}{j + 1}"
-            terms.append(t)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
+    return _combination(
+        (v, f"D{i + 1}{j + 1}")
+        for i, row in enumerate(mat.rows)
+        for j, v in enumerate(row)
+    )
 
 
 def _entries_payload(A: Algebra) -> list:
@@ -146,7 +137,7 @@ def _algebra_from_file(path: str) -> Algebra:
 
 
 def _file_scalar(v):
-    """A scalar in an algebra file is exact: a JSON integer or string."""
+    """A scalar in an input file is exact: a JSON integer or string."""
     if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
         return v
     text = json.dumps(v)
@@ -168,8 +159,28 @@ def _resolve_algebra(args) -> Algebra:
     return get(eid, params or None)
 
 
-def _matrix_from_rows(rows) -> ExactMatrix:
-    return ExactMatrix([[grat(v) for v in row] for row in rows])
+def _matrix_from_rows(path: str, rows) -> ExactMatrix:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise CatalogError(f"{path}: expected a matrix (list of rows)")
+    return ExactMatrix([[grat(_file_scalar(v)) for v in row] for row in rows])
+
+
+def _cocycle_components(path: str, raw, dim: int) -> list:
+    """The [[i, j, coeff], ...] component lists of a cocycle file."""
+    comps = raw.get("components") if isinstance(raw, dict) else raw
+    if not (isinstance(comps, list) and comps and all(
+        isinstance(comp, list) and all(
+            isinstance(t, list) and len(t) == 3
+            and all(type(k) is int and 1 <= k <= dim for k in t[:2])
+            for t in comp
+        )
+        for comp in comps
+    )):
+        raise CatalogError(
+            f"{path}: expected components: [[i, j, coeff], ...] lists "
+            f"with 1 <= i, j <= {dim}"
+        )
+    return [[(i, j, _file_scalar(v)) for i, j, v in comp] for comp in comps]
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +315,7 @@ def _cmd_extend(args) -> int:
         params = dict(params)
         params.setdefault("dim", args.dim)
     parent = get(eid, params or None)
-    raw = _load_json(args.file)
-    comps = raw.get("components") if isinstance(raw, dict) else raw
-    if not isinstance(comps, list) or not comps:
-        raise CatalogError(
-            f"{args.file}: expected components: [[i, j, coeff], ...] lists"
-        )
+    comps = _cocycle_components(args.file, _load_json(args.file), parent.dim)
     form = delta_form(parent.dim, *comps)
     ok_cocycle = all(is_cocycle(parent, m) for m in form.mats)
     wf = extension_wellformed(parent, form)
@@ -395,9 +401,7 @@ def _cmd_act(args) -> int:
     A = _resolve_algebra(args)
     raw = _load_json(args.matrix)
     rows = raw.get("matrix") if isinstance(raw, dict) else raw
-    if not isinstance(rows, list):
-        raise CatalogError(f"{args.matrix}: expected a matrix (list of rows)")
-    P = _matrix_from_rows(rows)
+    P = _matrix_from_rows(args.matrix, rows)
     if P.nrows != A.dim or P.ncols != A.dim:
         raise CatalogError(
             f"matrix is {P.nrows}x{P.ncols}, algebra dimension is {A.dim}"

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, _annihilator_rows, algebra_from_entries, annihilator
+from .algebra import (
+    Algebra,
+    _annihilator_rows,
+    _nonzero_constants,
+    algebra_from_entries,
+    annihilator,
+)
 from .exactmath import (
     ZERO,
     ONE,
@@ -82,9 +88,12 @@ def delta_form(n: int, *components) -> CocycleForm:
     return CocycleForm(tuple(mats))
 
 
-def _sym(A: Algebra, j: int, k: int):
-    """Coordinates of e_j e_k + e_k e_j."""
-    return [a + b for a, b in zip(A.c[j][k], A.c[k][j])]
+def _sym_terms(by_ij, j: int, k: int):
+    """Nonzero coordinates of e_j e_k + e_k e_j as [(m, coeff)], m ascending."""
+    acc = {}
+    for m, v in by_ij[j][k] + by_ij[k][j]:
+        acc[m] = acc.get(m, ZERO) + v
+    return sorted((m, v) for m, v in acc.items() if v)
 
 
 def is_cocycle(A: Algebra, mat: ExactMatrix) -> bool:
@@ -101,24 +110,17 @@ def _cocycle_rows(A: Algebra):
     The unknowns are theta[i][j] -> column i*n+j.
     """
     n = A.dim
-    sym = [[_sym(A, j, k) for k in range(n)] for j in range(n)]
+    by_ij = _nonzero_constants(A)
+    sym = [[_sym_terms(by_ij, j, k) for k in range(n)] for j in range(n)]
     rows = []
     for i in range(n):
         for j in range(n):
-            prod = A.c[i][j]
+            prod = by_ij[i][j]
             for k in range(n):
-                row = {}
-                for m in range(n):
-                    v = prod[m]
-                    if v:
-                        col = m * n + k
-                        row[col] = row.get(col, ZERO) + v
-                s = sym[j][k]
-                for m in range(n):
-                    v = s[m]
-                    if v:
-                        col = i * n + m
-                        row[col] = row.get(col, ZERO) - v
+                row = {m * n + k: v for m, v in prod}
+                for m, v in sym[j][k]:
+                    col = i * n + m
+                    row[col] = row.get(col, ZERO) - v
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     rows.append(row)

@@ -13,10 +13,21 @@ mod a prime, the Monte-Carlo rank :func:`nullity_mod_p`.  The mod-p path can
 only *underestimate* rank; its one caller in the suite, the ``fingerprints``
 check, cross-checks it against the exact path.  ``ExactMatrix.det`` keeps its
 own elimination as an independent oracle for rank.
+
+A Q(i) system with a non-real entry is not eliminated in ``Fraction``
+arithmetic first: :func:`_certified_rref` clears it to Gaussian integers,
+eliminates mod a 127-bit prime P under both embeddings of i, rebuilds the
+RREF by rational reconstruction and proves it exactly over Z[i] (a kernel
+check plus the mod-P rank bound), so its answer is exact, not Monte Carlo.
+It trusts only P's primality (a Proth certificate, tested) and that check;
+when anything fails it logs the reason at DEBUG on ``zinbiel5.exactmath``
+and the ``Fraction`` loop runs instead.  Real systems always take the loop.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "GaussianRational",
@@ -36,9 +47,25 @@ __all__ = [
 _F0 = Fraction(0)
 
 
+# Largest |exponent| accepted in a decimal literal such as "3e-5":
+# ``Fraction("1e9999999")`` builds 10**9999999 and takes seconds to minutes.
+MAX_SCALAR_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][+-]?0*([0-9_]*)")
+
+
+def _check_exponent(text: str) -> None:
+    for digits in _EXPONENT.findall(text):
+        digits = digits.replace("_", "")
+        # the length test first: int() of a long digit string is slow too
+        if len(digits) > 6 or (digits and int(digits) > MAX_SCALAR_EXPONENT):
+            raise ValueError(f"invalid scalar {_clip(text)}: exponent too large")
+
+
 def _fraction(x) -> Fraction:
     if type(x) is Fraction:
         return x
+    if isinstance(x, str):
+        _check_exponent(x)
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -72,11 +99,13 @@ class GaussianRational:
 
         This is the little closed format used in the data files; general
         expressions (parameters, t) go through the expression parser instead.
-        A malformed literal or a zero denominator raises ``ValueError``.
+        A malformed literal, a zero denominator or a decimal exponent beyond
+        ``MAX_SCALAR_EXPONENT`` raises ``ValueError``.
         """
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty scalar")
+        _check_exponent(s)
         # split into signed terms at top level (format has no parentheses)
         terms = []
         start = 0
@@ -443,8 +472,23 @@ def _sparse_rref(rows, p=None):
 
     Entries are GaussianRationals, or ints in [0, p) for a prime ``p``.
     Each pivot row is normalized (1 at its pivot, its least column) and
-    kept zero in every other pivot column.
+    kept zero in every other pivot column.  A Q(i) system with a non-real
+    entry is first tried on the certified modular path
+    (:func:`_certified_rref`); :func:`_rref_loop` is its fallback and the
+    path of every other system.
     """
+    if p is None:
+        rows = list(rows)
+        if any(v.im is not _F0 for row in rows for v in row.values()):
+            try:
+                return _certified_rref(rows)
+            except _Uncertified as exc:
+                _log_fallback(exc)
+    return _rref_loop(rows, p)
+
+
+def _rref_loop(rows, p=None):
+    """The row-by-row elimination behind :func:`_sparse_rref`."""
     pivots: dict[int, dict] = {}
     for row in rows:
         red = _reduce_against(row, pivots, p)
@@ -462,6 +506,142 @@ def _sparse_rref(rows, p=None):
             if lead in prow:
                 _subtract(prow, prow[lead], norm, p)
         pivots[lead] = norm
+    return pivots
+
+
+# ---------------------------------------------------------------------------
+# certified modular elimination over Q(i)
+# ---------------------------------------------------------------------------
+
+# The Proth prime k * 2**64 + 1 with k = 2**62 + 311 (odd, k < 2**64): by
+# Proth's theorem, pow(29, (P - 1) // 2, P) == P - 1 proves it prime, and
+# then s = 29**((P - 1) / 4) is a square root of -1 mod P.
+_CERT_P = (2**62 + 311) * 2**64 + 1
+_CERT_S = pow(29, (_CERT_P - 1) // 4, _CERT_P)
+# Wang's bound: a fraction n/d with |n|, d <= sqrt(P/2) is the only such
+# fraction congruent to its residue mod P.
+_CERT_BOUND = isqrt(_CERT_P // 2)
+# the inverses of 2 and of 2s mod P
+_HALF = (_CERT_P + 1) // 2
+_HALF_S = pow(2 * _CERT_S, -1, _CERT_P)
+
+
+class _Uncertified(Exception):
+    """The modular candidate RREF was not proved; the message says why."""
+
+
+def _log_fallback(reason) -> None:
+    import logging  # only a fallback pays for the import, not CLI start-up
+
+    logging.getLogger(__name__).debug(
+        "certified Q(i) elimination fell back to the exact loop: %s", reason
+    )
+
+
+def _reconstruct(u: int) -> Fraction:
+    """The fraction n/d with |n|, d <= _CERT_BOUND and n = d*u mod P.
+
+    Half-extended Euclid (Wang 1981); raises ``_Uncertified`` if none exists.
+    """
+    r0, r1, t0, t1 = _CERT_P, u, 0, 1
+    while r1 > _CERT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _CERT_BOUND or gcd(r1, t1) != 1:
+        raise _Uncertified("rational reconstruction failed")
+    return Fraction(r1, t1)
+
+
+def _gaussian_integer_row(row: dict) -> dict:
+    """A Q(i) row times the lcm of its denominators: {col: (re, im)} ints."""
+    xs = row.values()
+    m = lcm(*[x.re.denominator for x in xs], *[x.im.denominator for x in xs])
+    if m % _CERT_P == 0:
+        raise _Uncertified("a denominator is divisible by P")
+    return {
+        c: (x.re.numerator * (m // x.re.denominator),
+            x.im.numerator * (m // x.im.denominator))
+        for c, x in row.items()
+    }
+
+
+def _image_mod_p(rows, s: int):
+    """The rows cleared to Gaussian integers and mapped to GF(P) by i -> s."""
+    for row in rows:
+        yield {
+            c: m
+            for c, (a, b) in _gaussian_integer_row(row).items()
+            if (m := (a + b * s) % _CERT_P)
+        }
+
+
+def _certified_rref(rows):
+    """The RREF of Q(i) rows from GF(P) elimination, proved exactly over Z[i].
+
+    The rows are cleared to Gaussian integers and eliminated mod P under
+    both embeddings i -> s and i -> -s; the real and imaginary parts of each
+    candidate entry are recovered from the two images and reconstructed as
+    fractions.  The candidate is then proved to be the RREF:
+
+    * rank >= #pivots, because the GF(P) elimination is a ring-homomorphic
+      image of the integer rows, and a nonzero minor mod P is nonzero in Z[i];
+    * rank <= #pivots, because the kernel vector of every free column
+      annihilates every integer row exactly (and every column that occurs is
+      a pivot or occurs in a pivot row, so every free column is tested);
+    * each candidate row has its pivot as least column, 1 there and 0 at the
+      other pivots, and is orthogonal to that kernel, so it lies in the row
+      space and the rows are the reduced echelon basis.
+
+    ``rows`` is a list, read three times: the integer rows are rebuilt on
+    each pass rather than stored, which keeps the peak memory near that of
+    the ``Fraction`` loop.  Raises
+    ``_Uncertified`` when any step fails; the caller then runs that loop.
+    """
+    P = _CERT_P
+    piv_up = _rref_loop(_image_mod_p(rows, _CERT_S), P)
+    piv_down = _rref_loop(_image_mod_p(rows, P - _CERT_S), P)
+    if piv_up.keys() != piv_down.keys():
+        raise _Uncertified("the two embeddings of i give different pivots")
+
+    pivots: dict[int, dict] = {}
+    free_in: dict[int, dict] = {}  # free column -> {pivot: entry}
+    for p, row_up in piv_up.items():
+        row_down = piv_down[p]
+        row = {p: ONE}
+        for c in sorted(row_up.keys() | row_down.keys()):
+            if c == p:
+                continue
+            if c < p or c in piv_up:
+                raise _Uncertified("the candidate is not in reduced echelon form")
+            u, w = row_up.get(c, 0), row_down.get(c, 0)
+            x = _make(_reconstruct((u + w) * _HALF % P),
+                      _reconstruct((u - w) * _HALF_S % P))
+            row[c] = x
+            free_in.setdefault(c, {})[p] = x
+        pivots[p] = row
+
+    kernel = []  # the kernel vector of each free column, scaled to Z[i]
+    for f, entries in free_in.items():
+        m = lcm(*[x.re.denominator for x in entries.values()],
+                *[x.im.denominator for x in entries.values()])
+        vec = {f: (m, 0)}
+        for p, x in entries.items():
+            vec[p] = (-x.re.numerator * (m // x.re.denominator),
+                      -x.im.numerator * (m // x.im.denominator))
+        kernel.append(vec)
+    for row in rows:
+        zrow = _gaussian_integer_row(row)
+        if any(c not in pivots and c not in free_in for c in zrow):
+            raise _Uncertified("a column is neither a pivot nor in a pivot row")
+        for vec in kernel:
+            re = im = 0
+            for c, (a, b) in zrow.items():
+                y = vec.get(c)
+                if y is not None:
+                    re += a * y[0] - b * y[1]
+                    im += a * y[1] + b * y[0]
+            if re or im:
+                raise _Uncertified("a kernel vector does not annihilate the rows")
     return pivots
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from zinbiel5.algebra import (
     Algebra,
     Fingerprint,
+    _derivation_rows,
     algebra_from_entries,
     annihilator,
     change_basis,
@@ -20,6 +21,7 @@ from zinbiel5.algebra import (
     product,
     zero_algebra,
 )
+from zinbiel5.cohomology import _cocycle_rows
 from zinbiel5.exactmath import ONE, ZERO, ExactMatrix, grat
 
 
@@ -272,3 +274,86 @@ def test_product_bilinear(data):
         u + lam * w for u, w in zip(product(a, xs, ys), product(a, zs, ys))
     )
     assert left == expect
+
+
+# ---------------------------------------------------------------------------
+# the system builders against the dense loops they replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_algebras(draw):
+    """A random algebra with few nonzero constants, real or complex."""
+    n = draw(st.integers(1, 4))
+    idx = st.integers(1, n)
+    coeff = st.sampled_from(["1", "-1", "2", "1/2", "i", "1-i"])
+    return algebra_from_entries(n, draw(st.lists(st.tuples(idx, idx, idx, coeff), max_size=10)))
+
+
+def _dense_derivation_rows(A):
+    """The builder as first written: it tests every structure-constant slot."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            plane = A.c[i][j]
+            for m in range(n):
+                row = {}
+                for k in range(n):
+                    v = plane[k]
+                    if v:
+                        col = k * n + m
+                        row[col] = row.get(col, ZERO) + v
+                for p in range(n):
+                    v = A.c[p][j][m]
+                    if v:
+                        col = i * n + p
+                        row[col] = row.get(col, ZERO) - v
+                for q in range(n):
+                    v = A.c[i][q][m]
+                    if v:
+                        col = j * n + q
+                        row[col] = row.get(col, ZERO) - v
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@given(sparse_algebras())
+def test_derivation_rows_match_dense_loop(A):
+    got = [list(row.items()) for row in _derivation_rows(A)]
+    assert got == [list(row.items()) for row in _dense_derivation_rows(A)]
+
+
+def _dense_cocycle_rows(A):
+    """The builder as first written: it tests every structure-constant slot."""
+    n = A.dim
+    sym = [[[a + b for a, b in zip(A.c[j][k], A.c[k][j])] for k in range(n)] for j in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            prod = A.c[i][j]
+            for k in range(n):
+                row = {}
+                for m in range(n):
+                    v = prod[m]
+                    if v:
+                        col = m * n + k
+                        row[col] = row.get(col, ZERO) + v
+                s = sym[j][k]
+                for m in range(n):
+                    v = s[m]
+                    if v:
+                        col = i * n + m
+                        row[col] = row.get(col, ZERO) - v
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@given(sparse_algebras())
+def test_cocycle_rows_match_dense_loop(A):
+    got = [list(row.items()) for row in _cocycle_rows(A)]
+    assert got == [list(row.items()) for row in _dense_cocycle_rows(A)]

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zinbiel5.cli import main
+from zinbiel5.cli import _form_text, _vector_text, main
+from zinbiel5.exactmath import ExactMatrix, GaussianRational
 
 
 def run(capsys, *argv):
@@ -130,6 +135,44 @@ def test_act_rejects_singular_matrix(capsys, tmp_path):
     code, _, err = run(capsys, "act", "--algebra", "zero^2", "--matrix", str(mat))
     assert code == 2
     assert "singular" in err
+
+
+QI_MATRIX = [
+    ["1+i", "0", "0", "0", "0"],
+    ["0", "1", "i", "0", "0"],
+    ["0", "0", "1", "0", "0"],
+    ["0", "0", "0", "1", "0"],
+    ["0", "0", "0", "0", "1"],
+]
+
+
+def test_act_renders_complex_coefficients_in_parentheses(capsys, tmp_path):
+    mat = tmp_path / "qi.json"
+    mat.write_text(json.dumps(QI_MATRIX))
+    code, out, _ = run(capsys, "act", "--algebra", "Z_05", "--matrix", str(mat))
+    assert code == 0
+    assert "e1 e3 = (1+i)*e5" in out.splitlines()
+    assert "e1 e1 = 2*i*e3" in out.splitlines()
+
+
+def test_text_rendering_parenthesizes_only_complex_coefficients():
+    g = GaussianRational
+    vec = (g(1), g(-1), g(-1, -1), g(0, -2), g(1, 2), g(0), g(-3))
+    assert _vector_text(vec) == "e1-e2+(-1-i)*e3-2*i*e4+(1+2*i)*e5-3*e7"
+    form = ExactMatrix([[g(0, 1), g(-1, 1)], [g(0), g(1, 0)]])
+    assert _form_text(form) == "i*D11+(-1+i)*D12+D22"
+    assert _vector_text((g(0), g(0))) == "0"
+
+
+def test_extend_cocycle_json_parenthesizes_complex_coefficients(capsys, tmp_path):
+    coc = tmp_path / "cocycle.json"
+    coc.write_text(json.dumps({"components": [[[1, 2, "1/2+i"], [2, 1, "-i"]]]}))
+    code, out, _ = run(
+        capsys, "extend", "--algebra", "zero", "--dim", "2", "--file", str(coc),
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["cocycle"] == ["(1/2+i)*D12-i*D21"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +322,46 @@ def test_excluded_family_value_exits_2(capsys):
     code, _, err = run(capsys, "catalog", "get", "--algebra", "Z_30^-1")
     assert code == 2
     assert "a" in err
+
+
+@pytest.mark.parametrize("value", [0.5, None, True, [1]])
+def test_non_exact_scalar_in_matrix_or_cocycle_exits_2(capsys, tmp_path, value):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps([["1", value], ["0", "1"]]))
+    coc = tmp_path / "c.json"
+    coc.write_text(json.dumps({"components": [[[1, 2, value]]]}))
+    for argv in (
+        ("act", "--algebra", "zero^2", "--matrix", str(mat)),
+        ("extend", "--algebra", "zero", "--dim", "2", "--file", str(coc)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid scalar") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "components", [[[[0, 2, "1"]]], [[[1, 3, "1"]]], [[[1, 2]]], [[1, 2, "1"]]]
+)
+def test_malformed_cocycle_file_exits_2(capsys, tmp_path, components):
+    coc = tmp_path / "c.json"
+    coc.write_text(json.dumps({"components": components}))
+    code, _, err = run(
+        capsys, "extend", "--algebra", "zero", "--dim", "2", "--file", str(coc)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1e9999999", "1e49999999", "2-3E-100000*i"])
+def test_huge_exponent_scalar_exits_2_in_bounded_time(tmp_path, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": [[1, 1, 2, value]]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zinbiel5.cli", "identity", "--file", str(bad)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: invalid scalar '{value}': exponent too large\n"

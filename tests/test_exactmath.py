@@ -1,8 +1,10 @@
+import logging
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from zinbiel5 import exactmath
 from zinbiel5.exactmath import (
     I,
     ONE,
@@ -180,6 +182,89 @@ def test_modp_prime_properties():
     for p in MODP_PRIMES:
         assert p % 4 == 1
         assert pow(2, p - 1, p) == 1  # Fermat check, all are genuine primes
+
+
+# ---------------------------------------------------------------------------
+# certified modular elimination over Q(i)
+# ---------------------------------------------------------------------------
+
+
+@given(matrices(max_rows=6, max_cols=6), st.data())
+def test_certified_rref_matches_loop_and_textbook(m, data):
+    rows = [list(row) for row in m.rows]
+    r = data.draw(st.integers(0, m.nrows - 1))
+    c = data.draw(st.integers(0, m.ncols - 1))
+    rows[r][c] = data.draw(complex_scalars)
+    if data.draw(st.booleans()):  # a dependent row, so ranks drop too
+        z = data.draw(scalars)
+        rows.append([a * z + b for a, b in zip(rows[0], rows[-1])])
+    m = ExactMatrix(rows)
+    sparse, _ = _to_sparse(m)
+    loop = exactmath._rref_loop(sparse)
+    red, pivots = _textbook_rref(m)
+    assert sorted(loop) == pivots
+    for row, p in zip(red, pivots):
+        assert loop[p] == {c: x for c, x in enumerate(row) if x}
+    assert exactmath._sparse_rref(sparse) == loop
+    try:
+        assert exactmath._certified_rref(sparse) == loop
+    except exactmath._Uncertified as exc:
+        # the one fallback expected here: an RREF entry too tall for Wang's bound
+        assert "reconstruction" in str(exc)
+        parts = [
+            part
+            for row in loop.values()
+            for x in row.values()
+            for q in (x.re, x.im)
+            for part in (q.numerator, q.denominator)
+        ]
+        assert max(map(abs, parts)) > exactmath._CERT_BOUND
+
+
+P = exactmath._CERT_P
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        (  # RREF entries with numerator and denominator above 2**64
+            [{0: GaussianRational(2**64 + 1), 1: GaussianRational(2**64 + 3, 1)}],
+            "rational reconstruction failed",
+        ),
+        (  # det = P: the rank drops mod P, so the kernel check fails
+            [{0: ONE, 1: GaussianRational(1, 1)}, {0: ONE, 1: GaussianRational(1 + P, 1)}],
+            "a kernel vector does not annihilate the rows",
+        ),
+        (
+            [{0: ONE, 1: GaussianRational(Fraction(1, P), 1)}],
+            "a denominator is divisible by P",
+        ),
+    ],
+    ids=["above-2**64", "numerator-P", "denominator-P"],
+)
+def test_certified_path_falls_back_with_reason(rows, reason, caplog):
+    with pytest.raises(exactmath._Uncertified, match=reason):
+        exactmath._certified_rref(rows)
+    with caplog.at_level(logging.DEBUG, logger="zinbiel5.exactmath"):
+        assert exactmath._sparse_rref(rows) == exactmath._rref_loop(rows)
+    assert [r.name for r in caplog.records] == ["zinbiel5.exactmath"]
+    assert reason in caplog.records[0].getMessage()
+
+
+def test_certified_path_logs_nothing_when_proved(caplog):
+    m = ExactMatrix([[1, I, 0], [0, 2, 1], [1, 0, -1]])
+    with caplog.at_level(logging.DEBUG, logger="zinbiel5.exactmath"):
+        assert ExactMatrix(m.rows + (m.rows[0],)).rank() == 3
+        assert m * m.inverse() == ExactMatrix.identity(3)
+    assert not caplog.records
+
+
+def test_certified_prime_is_a_proth_prime():
+    k, rest = divmod(P - 1, 2**64)
+    assert rest == 0 and k % 2 == 1 and k < 2**64  # P = k * 2**64 + 1
+    assert pow(29, (P - 1) // 2, P) == P - 1  # Proth's theorem: P is prime
+    assert P % 4 == 1 and P.bit_length() == 127
+    assert exactmath._CERT_S**2 % P == P - 1
 
 
 # ---------------------------------------------------------------------------
