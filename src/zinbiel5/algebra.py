@@ -3,17 +3,24 @@
 An :class:`Algebra` is a structure-constant tensor c[i][j][k] (0-based
 internally, 1-based in the file format), with the multiplication
 e_i e_j = sum_k c[i][j][k] e_k.  Everything here is exact.
+
+Identities and products are evaluated over Z[i] after scaling c by one common
+denominator D, once per public call (:func:`_integer_tensor`).  This is still
+exact: each side of a ternary identity has degree 2 in c (binary: 1), so the
+sides agree iff D^2 (D) times them agree in Z[i]; only a violating tuple's
+sides are divided back into Q(i).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
     ZERO,
-    ONE,
     ExactMatrix,
     GaussianRational,
+    _cleared,
     grat,
     kernel_basis_sparse,
     nullity_mod_p,
@@ -83,22 +90,47 @@ def algebra_from_entries(dim: int, entries: Iterable, label: str = "", params=()
 
 def product(A: Algebra, x: Sequence, y: Sequence) -> tuple:
     """Product of two coordinate vectors, as a coordinate vector."""
+    return _scaled(*_product(*_integer_tensor(A), _ints(x), _ints(y)))
+
+
+def _integer_tensor(A: Algebra):
+    """(T, D): D the lcm of all denominators of A.c, T[i][j] = [(k, re, im)]
+    the nonzero D*c[i][j][k] as ints, k ascending."""
     n = A.dim
-    out = [ZERO] * n
-    for i in range(n):
-        xi = grat(x[i])
-        if not xi:
-            continue
-        plane = A.c[i]
-        for j in range(n):
-            yj = grat(y[j])
-            if not yj:
-                continue
-            f = xi * yj
-            for k, ck in enumerate(plane[j]):
-                if ck:
-                    out[k] = out[k] + f * ck
-    return tuple(out)
+    D, flat = _cleared(((i, j, k), v) for i, plane in enumerate(A.c)
+                       for j, vec in enumerate(plane) for k, v in enumerate(vec))
+    T = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), (re, im) in flat.items():
+        T[i][j].append((k, re, im))
+    return T, D
+
+
+def _ints(x: Sequence):
+    """(d, {i: (re, im)}): the coordinate vector x cleared to Z[i]."""
+    return _cleared((i, grat(v)) for i, v in enumerate(x))
+
+
+def _product(T, D, x, y) -> tuple:
+    """(re, im, d): the product of the :func:`_ints` vectors x and y over the
+    tensor of :func:`_integer_tensor` is (re + i*im) / d, as ints."""
+    n = len(T)
+    (dx, xs), (dy, ys) = x, y
+    re = [0] * n
+    im = [0] * n
+    for i, (xr, xi) in xs.items():
+        plane = T[i]
+        for j, (yr, yi) in ys.items():
+            fr, fi = xr * yr - xi * yi, xr * yi + xi * yr
+            for k, cr, ci in plane[j]:
+                re[k] += fr * cr - fi * ci
+                im[k] += fr * ci + fi * cr
+    return re, im, D * dx * dy
+
+
+def _scaled(re, im, d: int) -> tuple:
+    """The Q(i) vector (re + i*im) / d."""
+    return tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) if a or b else ZERO
+                 for a, b in zip(re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -136,36 +168,27 @@ class IdentityReport:
         return self.ok
 
 
-def _eval_terms(A: Algebra, terms, idx) -> tuple:
-    n = A.dim
-    out = [ZERO] * n
+def _eval_terms(T, terms, idx) -> tuple:
+    """The terms at the basis tuple idx over Z[i], as (re, im) int lists."""
+    n = len(T)
+    re = [0] * n
+    im = [0] * n
     for coeff, kind, perm in terms:
         a = idx[perm[0]]
         b = idx[perm[1]]
         if kind == "P":
-            vec = A.c[a][b]
-        else:
-            z = idx[perm[2]]
-            if kind == "LR":
-                inner = A.c[a][b]
-                vec = [ZERO] * n
-                for k, u in enumerate(inner):
-                    if u:
-                        for m, w in enumerate(A.c[k][z]):
-                            if w:
-                                vec[m] = vec[m] + u * w
-            else:  # RL
-                inner = A.c[b][z]
-                vec = [ZERO] * n
-                for k, u in enumerate(inner):
-                    if u:
-                        for m, w in enumerate(A.c[a][k]):
-                            if w:
-                                vec[m] = vec[m] + u * w
-        for m in range(n):
-            if vec[m]:
-                out[m] = out[m] + coeff * vec[m]
-    return tuple(out)
+            for m, wr, wi in T[a][b]:
+                re[m] += coeff * wr
+                im[m] += coeff * wi
+            continue
+        z = idx[perm[2]]
+        # "LR": (e_a e_b) e_z = sum_k u_k e_k e_z; "RL": e_a (e_b e_z) = sum_k u_k e_a e_k
+        lr = kind == "LR"
+        for k, ur, ui in T[a][b] if lr else T[b][z]:
+            for m, wr, wi in T[k][z] if lr else T[a][k]:
+                re[m] += coeff * (ur * wr - ui * wi)
+                im[m] += coeff * (ur * wi + ui * wr)
+    return re, im
 
 
 def check_identity(A: Algebra, kind: str) -> IdentityReport:
@@ -176,6 +199,7 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
     n = A.dim
+    T, D = _integer_tensor(A)
     for lhs_terms, rhs_terms in IDENTITY_KINDS[kind]:
         arity = 2 if lhs_terms[0][1] == "P" else 3
         tuples = (
@@ -184,15 +208,16 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
             else ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
         )
         for idx in tuples:
-            lhs = _eval_terms(A, lhs_terms, idx)
-            rhs = _eval_terms(A, rhs_terms, idx)
+            lhs = _eval_terms(T, lhs_terms, idx)
+            rhs = _eval_terms(T, rhs_terms, idx)
             if lhs != rhs:
+                scale = D ** (arity - 1)  # the degree of each term in c
                 return IdentityReport(
                     kind,
                     False,
                     witness=tuple(i + 1 for i in idx),
-                    lhs=lhs,
-                    rhs=rhs,
+                    lhs=_scaled(*lhs, scale),
+                    rhs=_scaled(*rhs, scale),
                 )
     return IdentityReport(kind, True)
 
@@ -243,9 +268,9 @@ class PowerFiltration:
 def power_filtration(A: Algebra) -> PowerFiltration:
     """Dims of the power filtration A^k = sum_{p+q=k} A^p A^q."""
     n = A.dim
-    basis = [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
-    powers = [basis]  # powers[k] is a basis of A^(k+1)
+    powers = [[(1, {i: (1, 0)}) for i in range(n)]]  # powers[k]: A^(k+1), cleared
     dims = [n]
+    T, D = _integer_tensor(A)
     while True:
         k = len(powers) + 1  # computing A^k
         prods = []
@@ -253,9 +278,9 @@ def power_filtration(A: Algebra) -> PowerFiltration:
             q = k - p
             for u in powers[p - 1]:
                 for v in powers[q - 1]:
-                    w = product(A, u, v)
-                    if any(w):
-                        prods.append(w)
+                    re, im, d = _product(T, D, u, v)
+                    if any(re) or any(im):
+                        prods.append(_scaled(re, im, d))
         new_basis = _span_basis(prods, n)
         d = len(new_basis)
         if d == 0:
@@ -265,7 +290,7 @@ def power_filtration(A: Algebra) -> PowerFiltration:
             dims.append(d)
             return PowerFiltration(tuple(dims), False, None)
         dims.append(d)
-        powers.append(new_basis)
+        powers.append([_ints(b) for b in new_basis])
 
 
 def _nonzero_constants(A: Algebra):
@@ -348,18 +373,22 @@ def change_basis(A: Algebra, P: ExactMatrix) -> Algebra:
     n = A.dim
     if P.nrows != n or P.ncols != n:
         raise ValueError("basis matrix has wrong shape")
-    pinv = P.inverse()  # raises on singular P
+    # w in the f basis is the row w P^-1; Q = q P^-1 is over Z[i] (raises on singular P)
+    q, Q = _cleared(((m, k), v) for m, row in enumerate(P.inverse().rows)
+                    for k, v in enumerate(row))
+    T, D = _integer_tensor(A)
+    rows = [_ints(row) for row in P.rows]
     new_c = []
     for i in range(n):
         plane = []
         for j in range(n):
-            w = product(A, P.rows[i], P.rows[j])
-            # express w in the f basis: solve row . P = w
-            coords = [
-                sum((w[m] * pinv.rows[m][k] for m in range(n)), ZERO)
-                for k in range(n)
-            ]
-            plane.append(tuple(coords))
+            wr, wi, d = _product(T, D, rows[i], rows[j])
+            re = [0] * n
+            im = [0] * n
+            for (m, k), (qr, qi) in Q.items():
+                re[k] += wr[m] * qr - wi[m] * qi
+                im[k] += wr[m] * qi + wi[m] * qr
+            plane.append(_scaled(re, im, d * q))
         new_c.append(tuple(plane))
     return Algebra(n, tuple(new_c), label=A.label, params=A.params)
 

@@ -394,26 +394,38 @@ def h2_tables() -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _file_scalar(v):
+    """A scalar in an input file is exact: a JSON integer or string."""
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    text = json.dumps(v)
+    text = text if len(text) <= 40 else text[:37] + "..."
+    raise ValueError(f"invalid scalar {text}: expected an integer or a string")
+
+
 def _basis_grid(raw, dim: int) -> tuple:
     if isinstance(raw, dict) and "diag" in raw:
         d = raw["diag"]
         if len(d) != dim:
             raise CatalogError("diagonal basis length mismatch")
         return tuple(
-            tuple(d[i] if i == j else "0" for j in range(dim))
+            tuple(str(_file_scalar(d[i])) if i == j else "0" for j in range(dim))
             for i in range(dim)
         )
     rows = []
+    cols = {str(k) for k in range(1, dim + 1)}
     for row in raw:
         if isinstance(row, dict):
             filled = ["0"] * dim
             for col, expr in row.items():
-                filled[int(col) - 1] = expr
+                if col not in cols:
+                    raise CatalogError(f"basis column {col!r} outside 1..{dim}")
+                filled[int(col) - 1] = str(_file_scalar(expr))
             rows.append(tuple(filled))
         else:
             if len(row) != dim:
                 raise CatalogError("basis row length mismatch")
-            rows.append(tuple(str(x) for x in row))
+            rows.append(tuple(str(_file_scalar(x)) for x in row))
     if len(rows) != dim:
         raise CatalogError("basis needs one row per dimension")
     return tuple(rows)
@@ -453,14 +465,17 @@ def certificate_from_dict(raw: dict) -> DegenerationCertificate:
 
     source_dim = entry(source_id).dim
     label = raw.get("label") or f"{source_id} -> {target_id}"
+    pad, index = raw.get("target_pad", 0), raw.get("index")
+    if type(pad) is not int or not 0 <= pad < source_dim:
+        raise CatalogError(f"target_pad must be an integer in 0..{source_dim - 1}")
     return DegenerationCertificate(
         source=source_id,
         target=target_id,
         basis=_basis_grid(raw["basis"], source_dim),
-        source_index=raw.get("index"),
+        source_index=None if index is None else str(_file_scalar(index)),
         source_params=bindings(source_id, sparam),
         target_params=bindings(target_id, tparam),
-        target_pad=int(raw.get("target_pad", 0)),
+        target_pad=pad,
         samples=tuple(dict(s) for s in raw.get("samples", ())),
         label=label,
     )
@@ -476,16 +491,32 @@ def certificates() -> tuple:
     return out
 
 
+def _rset_from_json(raw: dict, dim: int) -> RSet:
+    """An R-set from its JSON form, its indices checked against dim.
+
+    A containment index may be dim + 1: A_(dim+1) = 0.
+    """
+    conts, eqs = raw.get("containments", []), raw.get("equations", [])
+    relabel = raw.get("relabel")
+    if not (isinstance(conts, list) and all(
+        isinstance(t, list) and len(t) == 3
+        and all(type(k) is int and 1 <= k <= dim + 1 for k in t) for t in conts
+    )):
+        raise CatalogError(
+            f"containments must be [p, q, r] triples of integers in 1..{dim + 1}")
+    if relabel is not None and not (isinstance(relabel, list) and all(
+        type(k) is int for k in relabel) and sorted(relabel) == list(range(1, dim + 1))):
+        raise CatalogError(f"relabel must be a permutation of 1..{dim}")
+    if not (isinstance(eqs, list) and all(isinstance(e, str) for e in eqs)):
+        raise CatalogError("equations must be a list of strings")
+    return RSet(containments=tuple(map(tuple, conts)), equations=tuple(eqs),
+                relabel=None if relabel is None else tuple(relabel),
+                label=raw.get("label", ""))
+
+
 def rset_from_dict(raw: dict) -> RSetRow:
-    rset = RSet(
-        containments=tuple(tuple(c) for c in raw["containments"]),
-        equations=tuple(raw.get("equations", ())),
-        relabel=tuple(raw["relabel"]) if raw.get("relabel") else None,
-        label=raw.get("label", ""),
-    )
-    return RSetRow(
-        source=raw["source"], targets=tuple(raw["targets"]), rset=rset
-    )
+    rset = _rset_from_json(raw, entry(raw["source"]).dim)
+    return RSetRow(source=raw["source"], targets=tuple(raw["targets"]), rset=rset)
 
 
 @lru_cache(maxsize=1)

@@ -27,6 +27,8 @@ from .algebra import (
 from .catalog import (
     CatalogError,
     SuiteConfig,
+    _file_scalar,
+    _rset_from_json,
     certificate_from_dict,
     entry,
     entry_to_json,
@@ -39,9 +41,9 @@ from .catalog import (
     verify_all,
 )
 from .cohomology import central_extension, delta_form, extension_wellformed, h2, is_cocycle
-from .degeneration import RSet, rset_membership, verify_certificate
+from .degeneration import rset_membership, verify_certificate
 from .exactmath import ExactMatrix, grat
-from .series import evaluate_scalar
+from .series import NonExpandable, evaluate_scalar
 
 PASS_VERDICTS = ("pass", "verified")
 
@@ -134,15 +136,6 @@ def _algebra_from_file(path: str) -> Algebra:
     label = raw.get("label") or raw.get("id") or path
     entries = [(i, j, k, _file_scalar(v)) for i, j, k, v in raw["entries"]]
     return algebra_from_entries(int(raw["dim"]), entries, label=label)
-
-
-def _file_scalar(v):
-    """A scalar in an input file is exact: a JSON integer or string."""
-    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
-        return v
-    text = json.dumps(v)
-    text = text if len(text) <= 40 else text[:37] + "..."
-    raise ValueError(f"invalid scalar {text}: expected an integer or a string")
 
 
 def _resolve_algebra(args) -> Algebra:
@@ -480,16 +473,14 @@ def _cmd_rset(args) -> int:
     raw = _load_json(args.file)
     if not isinstance(raw, dict):
         raise CatalogError(f"{args.file}: expected an object")
-    R = RSet(
-        containments=tuple(tuple(c) for c in raw.get("containments", ())),
-        equations=tuple(raw.get("equations", ())),
-        relabel=tuple(raw["relabel"]) if raw.get("relabel") else None,
-    )
     if not args.algebra:
         raise CatalogError("rset membership needs --algebra")
     eid, params = parse_ref(args.algebra)
     A = get(eid, params or None)
-    member, witness = rset_membership(A, R)
+    try:
+        member, witness = rset_membership(A, _rset_from_json(raw, A.dim))
+    except NonExpandable as exc:
+        raise CatalogError(f"{args.file}: cannot evaluate an equation: {exc}") from exc
     payload = {
         "command": "rset",
         "algebra": A.label,

@@ -14,7 +14,11 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     _annihilator_rows,
+    _integer_tensor,
+    _ints,
     _nonzero_constants,
+    _product,
+    _scaled,
     algebra_from_entries,
     annihilator,
 )
@@ -305,12 +309,11 @@ def extension_wellformed(A: Algebra, form: CocycleForm) -> WellformedReport:
 
 def product_vec(A: Algebra, x):
     """All products x*e_j and e_j*x flattened — zero iff x annihilates."""
-    from .algebra import product
-
     out = []
-    n = A.dim
-    for j in range(n):
-        unit = tuple(ONE if idx == j else ZERO for idx in range(n))
-        out.extend(product(A, x, unit))
-        out.extend(product(A, unit, x))
+    T, D = _integer_tensor(A)
+    x = _ints(x)
+    for j in range(A.dim):
+        unit = (1, {j: (1, 0)})
+        out.extend(_scaled(*_product(T, D, x, unit)))
+        out.extend(_scaled(*_product(T, D, unit, x)))
     return out

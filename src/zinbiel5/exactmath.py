@@ -552,17 +552,21 @@ def _reconstruct(u: int) -> Fraction:
     return Fraction(r1, t1)
 
 
+def _cleared(pairs):
+    """(d, {key: (re, im)}): the nonzero values of (key, Q(i) value) pairs
+    times d, the lcm of their denominators, as ints."""
+    pairs = [(key, x) for key, x in pairs if x]
+    d = lcm(*[e for _, x in pairs for e in (x.re.denominator, x.im.denominator)])
+    return d, {key: (x.re.numerator * (d // x.re.denominator),
+                     x.im.numerator * (d // x.im.denominator)) for key, x in pairs}
+
+
 def _gaussian_integer_row(row: dict) -> dict:
     """A Q(i) row times the lcm of its denominators: {col: (re, im)} ints."""
-    xs = row.values()
-    m = lcm(*[x.re.denominator for x in xs], *[x.im.denominator for x in xs])
+    m, ints = _cleared(row.items())
     if m % _CERT_P == 0:
         raise _Uncertified("a denominator is divisible by P")
-    return {
-        c: (x.re.numerator * (m // x.re.denominator),
-            x.im.numerator * (m // x.im.denominator))
-        for c, x in row.items()
-    }
+    return ints
 
 
 def _image_mod_p(rows, s: int):

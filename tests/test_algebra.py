@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from zinbiel5.algebra import (
+    IDENTITY_KINDS,
     Algebra,
     Fingerprint,
+    IdentityReport,
     _derivation_rows,
     algebra_from_entries,
     annihilator,
@@ -357,3 +360,159 @@ def _dense_cocycle_rows(A):
 def test_cocycle_rows_match_dense_loop(A):
     got = [list(row.items()) for row in _cocycle_rows(A)]
     assert got == [list(row.items()) for row in _dense_cocycle_rows(A)]
+
+
+# ---------------------------------------------------------------------------
+# the Z[i] evaluators against the Q(i) loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _qi_product(A, x, y):
+    """product over Q(i), as it was before the Z[i] kernel: zero slots skipped."""
+    n = A.dim
+    out = [ZERO] * n
+    for i in range(n):
+        xi = grat(x[i])
+        if not xi:
+            continue
+        for j in range(n):
+            yj = grat(y[j])
+            if not yj:
+                continue
+            f = xi * yj
+            for k, ck in enumerate(A.c[i][j]):
+                if ck:
+                    out[k] = out[k] + f * ck
+    return tuple(out)
+
+
+def _qi_eval_terms(A, terms, idx):
+    """_eval_terms over Q(i), as it was before the Z[i] kernel: dense term vectors."""
+    n = A.dim
+    out = [ZERO] * n
+    for coeff, kind, perm in terms:
+        a = idx[perm[0]]
+        b = idx[perm[1]]
+        if kind == "P":
+            vec = A.c[a][b]
+        else:
+            z = idx[perm[2]]
+            inner, outer = (A.c[a][b], lambda k: A.c[k][z]) if kind == "LR" else (
+                A.c[b][z], lambda k: A.c[a][k])
+            vec = [ZERO] * n
+            for k, u in enumerate(inner):
+                if u:
+                    for m, w in enumerate(outer(k)):
+                        if w:
+                            vec[m] = vec[m] + u * w
+        for m in range(n):
+            if vec[m]:
+                out[m] = out[m] + coeff * vec[m]
+    return tuple(out)
+
+
+def _qi_check_identity(A, kind):
+    n = A.dim
+    for lhs_terms, rhs_terms in IDENTITY_KINDS[kind]:
+        arity = 2 if lhs_terms[0][1] == "P" else 3
+        for idx in itertools.product(range(n), repeat=arity):
+            lhs = _qi_eval_terms(A, lhs_terms, idx)
+            rhs = _qi_eval_terms(A, rhs_terms, idx)
+            if lhs != rhs:
+                return IdentityReport(kind, False, tuple(i + 1 for i in idx), lhs, rhs)
+    return IdentityReport(kind, True)
+
+
+def _qi_change_basis(A, P):
+    n = A.dim
+    pinv = P.inverse()
+    return tuple(
+        tuple(
+            tuple(
+                sum((w[m] * pinv.rows[m][k] for m in range(n)), ZERO) for k in range(n)
+            )
+            for w in (_qi_product(A, P.rows[i], P.rows[j]) for j in range(n))
+        )
+        for i in range(n)
+    )
+
+
+def _qi_power_dims(A):
+    n = A.dim
+    powers = [[tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]]
+    dims = [n]
+    while True:
+        k = len(powers) + 1
+        prods = [
+            w
+            for p in range(1, k)
+            for u in powers[p - 1]
+            for v in powers[k - p - 1]
+            if any(w := _qi_product(A, u, v))
+        ]
+        if prods:
+            red, piv = ExactMatrix(prods).rref()
+            basis = [red.rows[r] for r in range(len(piv))]
+        else:
+            basis = []
+        dims.append(len(basis))
+        if not basis or len(basis) == dims[-2]:
+            return tuple(dims)
+        powers.append(basis)
+
+
+QI_SCALARS = ["1", "-1", "2", "1/2", "-3/5", "i", "1-i", "2/3+1/7*i", "-5/4*i"]
+ZINBIEL_SPECIMENS = [
+    (2, [(1, 1, 2, 1)]),
+    (3, [(1, 1, 2, 1), (1, 2, 3, 1), (2, 1, 3, 2)]),
+    (4, [(1, 1, 2, 1), (1, 2, 3, 1), (2, 1, 3, 2)]),
+    (4, [(1, 2, 3, 1), (2, 1, 4, 1)]),
+    (4, [(1, 1, 3, 1), (2, 2, 4, "1/2")]),
+]
+
+
+@st.composite
+def qi_matrices(draw, n):
+    """L*U over Q(i), L unit lower and U upper triangular with nonzero diagonal."""
+    s = st.sampled_from(QI_SCALARS)
+    lower = [[draw(s) if j < i and draw(st.booleans()) else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(s) if j >= i else 0 for j in range(n)] for i in range(n)]
+    return ExactMatrix(lower) * ExactMatrix(upper)
+
+
+@st.composite
+def moved_specimens(draw):
+    """A Zinbiel algebra of dim 2-4 in a random Q(i) basis; about one in four
+    gets one structure constant changed, which usually breaks the identity."""
+    n, entries = draw(st.sampled_from(ZINBIEL_SPECIMENS))
+    A = alg(n, *entries)
+    c = _qi_change_basis(A, draw(qi_matrices(n)))
+    moved = Algebra(n, c)
+    if draw(st.integers(0, 3)) == 0:
+        idx = st.integers(1, n)
+        extra = (draw(idx), draw(idx), draw(idx), draw(st.sampled_from(QI_SCALARS)))
+        moved = algebra_from_entries(n, list(moved.entries()) + [extra])
+    return moved
+
+
+@given(moved_specimens())
+def test_check_identity_matches_qi_loop(A):
+    for kind in IDENTITY_KINDS:
+        assert check_identity(A, kind) == _qi_check_identity(A, kind)
+
+
+@given(moved_specimens(), st.data())
+def test_product_and_powers_match_qi_loop(A, data):
+    vec = st.lists(st.sampled_from(QI_SCALARS + ["0"] * 4), min_size=A.dim, max_size=A.dim)
+    x, y = (tuple(grat(v) for v in data.draw(vec)) for _ in range(2))
+    assert product(A, x, y) == _qi_product(A, x, y)
+    assert power_filtration(A).dims == _qi_power_dims(A)
+    P = data.draw(qi_matrices(A.dim))
+    assert change_basis(A, P).c == _qi_change_basis(A, P)
+
+
+def test_purely_imaginary_products():
+    A = alg(3, (1, 1, 2, "i"), (1, 2, 3, "-1/2*i"))
+    assert product(A, (ONE, ZERO, ZERO), (ONE, ZERO, ZERO)) == (ZERO, grat("i"), ZERO)
+    assert power_filtration(A).dims == (3, 2, 1, 0)

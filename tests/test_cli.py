@@ -47,6 +47,41 @@ def test_identity_failure_produces_witness_and_exit_1(capsys, tmp_path):
     assert "fail" in out and "witness" in out
 
 
+# Z_05 moved by the Q(i) matrix of the CI workflow, and the associative
+# identity's first violation on it, as printed before identities were
+# evaluated over Z[i].
+QI_MATRIX = [["1+i", "0", "0", "0", "0"], ["0", "1", "i", "0", "0"], ["0", "0", "1", "0", "0"],
+             ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "1"]]
+MOVED_Z05 = {"dim": 5, "entries": [
+    [1, 1, 3, "2*i"], [1, 2, 5, "-1+i"], [1, 3, 5, "1+i"], [2, 1, 5, "-2+2*i"],
+    [2, 2, 4, "1"], [2, 4, 5, "1"], [3, 1, 5, "2+2*i"], [4, 2, 5, "2"]]}
+WITNESS_JSON = (
+    '{"algebra":"moved.json","command":"identity","kind":"associative","verdict":"fail",'
+    '"witness":{"indices":[1,1,1],"lhs":["0","0","0","0","-4+4*i"],'
+    '"rhs":["0","0","0","0","-2+2*i"]}}\n'
+)
+WITNESS_TEXT = (
+    "identity associative on moved.json: fail\n"
+    "witness (e1, e1, e1): lhs (-4+4*i)*e5 != rhs (-2+2*i)*e5\n"
+)
+
+
+def test_failing_witness_output_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("qi.json").write_text(json.dumps(QI_MATRIX))
+    code, out, _ = run(capsys, "act", "--algebra", "Z_05", "--matrix", "qi.json",
+                       "--format", "json")
+    assert code == 0
+    moved = json.loads(out)["result"]
+    assert moved == MOVED_Z05
+    Path("moved.json").write_text(json.dumps(moved))
+    assert run(capsys, "identity", "--file", "moved.json")[:2] == (
+        0, "identity zinbiel on moved.json: pass\n")
+    argv = ("identity", "--file", "moved.json", "--id", "associative")
+    assert run(capsys, *argv, "--format", "json")[:2] == (1, WITNESS_JSON)
+    assert run(capsys, *argv)[:2] == (1, WITNESS_TEXT)
+
+
 def test_ann_lists_basis(capsys):
     code, out, _ = run(capsys, "ann", "--algebra", "Z_25")
     assert code == 0
@@ -229,6 +264,53 @@ def test_degenerate_wrong_basis_fails_with_exit_1(capsys, tmp_path):
     assert "failed" in out and "mismatch" in out
 
 
+def _z04_z01_row():
+    from zinbiel5.catalog import _load
+
+    raw = _load("degenerations")["certificates"][0]
+    assert (raw["source"], raw["target"]) == ("Z_04", "Z_01")
+    return json.loads(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("target_pad", 0.5, "target_pad must be an integer in 0..4"),
+        ("target_pad", True, "target_pad must be an integer in 0..4"),
+        ("target_pad", -1, "target_pad must be an integer in 0..4"),
+        ("target_pad", 5, "target_pad must be an integer in 0..4"),
+        ("index", 1.5, "invalid scalar 1.5"),
+        ("index", True, "invalid scalar true"),
+        ("row 5", {"5": 1.0}, "invalid scalar 1.0"),
+        ("row 5", ["0", "0", "0", "0", None], "invalid scalar null"),
+        ("basis", {"diag": ["1", "1", "1", "1", 1.0]}, "invalid scalar 1.0"),
+        ("row 5", {"0": "1"}, "basis column '0' outside 1..5"),
+        ("row 5", {"9": "1"}, "basis column '9' outside 1..5"),
+    ],
+)
+def test_malformed_certificate_file_exits_2(capsys, tmp_path, key, value, message):
+    cert = _z04_z01_row()
+    if key == "row 5":
+        cert["basis"][4] = value
+    else:
+        cert[key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "degenerate", "--cert", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_certificate_file_takes_integer_scalars(capsys, tmp_path):
+    cert = _z04_z01_row()
+    cert["basis"][4] = {"5": 1}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "degenerate", "--cert", str(path))
+    assert code == 0 and "verified (exact)" in out
+
+
 # ---------------------------------------------------------------------------
 # constraint sets
 # ---------------------------------------------------------------------------
@@ -241,6 +323,38 @@ def test_rset_membership_and_separation(capsys, tmp_path):
     assert code == 0 and "inside" in out
     code, out, _ = run(capsys, "rset", "--algebra", "Z_34", "--file", str(rset))
     assert code == 1 and "outside" in out and "violated" in out
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"containments": [[1, 1, 3.5]]}, "containments must be [p, q, r] triples"),
+        ({"containments": [[1, 1, 9]]}, "containments must be [p, q, r] triples"),
+        ({"containments": [[0, 1, 2]]}, "containments must be [p, q, r] triples"),
+        ({"containments": [[True, 1, 2]]}, "containments must be [p, q, r] triples"),
+        ({"containments": [[1, 1]]}, "containments must be [p, q, r] triples"),
+        ({"relabel": [1, 2, 3, 4, 9]}, "relabel must be a permutation of 1..5"),
+        ({"relabel": [1.5, 2, 3, 4, 5]}, "relabel must be a permutation of 1..5"),
+        ({"relabel": [1, 1, 3, 4, 5]}, "relabel must be a permutation of 1..5"),
+        ({"equations": "c113"}, "equations must be a list of strings"),
+        ({"equations": ["c999"]}, "cannot evaluate an equation"),
+    ],
+)
+def test_malformed_rset_file_exits_2(capsys, tmp_path, raw, message):
+    rset = tmp_path / "rset.json"
+    rset.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "rset", "--algebra", "Z_27", "--file", str(rset))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_rset_file_with_relabel_and_zero_term(capsys, tmp_path):
+    # A_6 = 0 in dimension 5, so [3, 1, 6] says A_3 A_1 = 0
+    rset = tmp_path / "rset.json"
+    rset.write_text(json.dumps({"containments": [[3, 1, 6]], "relabel": [1, 2, 3, 4, 5]}))
+    code, out, _ = run(capsys, "rset", "--algebra", "Z_27", "--file", str(rset))
+    assert code == 0 and "inside" in out
 
 
 def test_rset_catalog_row(capsys):
