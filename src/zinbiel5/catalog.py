@@ -42,7 +42,7 @@ from .degeneration import (
     verify_certificate,
 )
 from .exactmath import ExactMatrix, GaussianRational, grat
-from .series import evaluate_scalar, expression_symbols, parse_expression
+from .series import evaluate_scalar
 
 __all__ = [
     "CatalogError",
@@ -72,11 +72,17 @@ __all__ = [
     "family_samples",
     "verify_all",
     "SPEC_SAMPLES",
+    "MAX_DIM",
 ]
 
 
 class CatalogError(ValueError):
     """Unknown id, missing parameter, or parameter outside its domain."""
+
+
+# Largest dimension accepted from an algebra file or for the zero algebra;
+# the catalog's algebras have dimension at most 6.
+MAX_DIM = 16
 
 
 # Deterministic parameter sampling for suite checks; intersected with each
@@ -194,10 +200,6 @@ def _coerce_param(value) -> GaussianRational:
     return grat(value)
 
 
-def _format_value(v: GaussianRational) -> str:
-    return str(v)
-
-
 @lru_cache(maxsize=None)
 def family_tensor(eid: str) -> FamilyTensor:
     """The symbolic structure tensor of a catalog entry."""
@@ -239,7 +241,7 @@ def instantiate(eid: str, params=None) -> Algebra:
             out.append((i, j, k, v))
     if bound:
         label = eid + "^{" + ",".join(
-            f"{s}={_format_value(bound[s])}" for s in e.symbols
+            f"{s}={bound[s]}" for s in e.symbols
         ) + "}"
     else:
         label = eid
@@ -255,8 +257,8 @@ def get(eid: str, params=None, **kw) -> Algebra:
         dim = kw.pop("dim", None)
         if dim is None and params:
             dim = dict(params).get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise CatalogError("zero algebra needs an integer dim >= 1")
+        if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+            raise CatalogError(f"zero algebra needs an integer dim in 1..{MAX_DIM}")
         return zero_algebra(dim, label=f"zero^{dim}")
     merged = dict(params or {})
     merged.update(kw)
@@ -404,7 +406,7 @@ def _file_scalar(v):
 
 
 def _basis_grid(raw, dim: int) -> tuple:
-    if isinstance(raw, dict) and "diag" in raw:
+    if isinstance(raw, dict) and isinstance(raw.get("diag"), list):
         d = raw["diag"]
         if len(d) != dim:
             raise CatalogError("diagonal basis length mismatch")
@@ -412,6 +414,8 @@ def _basis_grid(raw, dim: int) -> tuple:
             tuple(str(_file_scalar(d[i])) if i == j else "0" for j in range(dim))
             for i in range(dim)
         )
+    if not isinstance(raw, list):
+        raise CatalogError('basis must be a list of rows or {"diag": [...]}')
     rows = []
     cols = {str(k) for k in range(1, dim + 1)}
     for row in raw:
@@ -422,10 +426,12 @@ def _basis_grid(raw, dim: int) -> tuple:
                     raise CatalogError(f"basis column {col!r} outside 1..{dim}")
                 filled[int(col) - 1] = str(_file_scalar(expr))
             rows.append(tuple(filled))
-        else:
+        elif isinstance(row, list):
             if len(row) != dim:
                 raise CatalogError("basis row length mismatch")
             rows.append(tuple(str(_file_scalar(x)) for x in row))
+        else:
+            raise CatalogError("basis row must be a list or a {column: entry} object")
     if len(rows) != dim:
         raise CatalogError("basis needs one row per dimension")
     return tuple(rows)
@@ -436,16 +442,21 @@ def certificate_from_dict(raw: dict) -> DegenerationCertificate:
 
     ``source``/``target`` may be bare id strings or ``{"id":…, "param":…}``
     objects; a string-valued ``param`` binds the family's single symbol and
-    may reference sample symbols, a dict binds by name.
+    may reference sample symbols, a dict binds by name.  ``basis`` is a list
+    of rows (lists or ``{column: entry}`` objects) or ``{"diag": […]}``, and
+    ``samples`` a list of objects.
     """
 
-    def split(side):
-        if isinstance(side, dict):
+    def split(key):
+        side = raw.get(key)
+        if isinstance(side, str):
+            return side, None
+        if isinstance(side, dict) and isinstance(side.get("id"), str):
             return side["id"], side.get("param")
-        return side, None
+        raise CatalogError(f'{key} must be an id string or {{"id": ...}}')
 
-    source_id, sparam = split(raw["source"])
-    target_id, tparam = split(raw["target"])
+    source_id, sparam = split("source")
+    target_id, tparam = split("target")
     if sparam is None:
         sparam = raw.get("source_param")
     if tparam is None:
@@ -468,6 +479,9 @@ def certificate_from_dict(raw: dict) -> DegenerationCertificate:
     pad, index = raw.get("target_pad", 0), raw.get("index")
     if type(pad) is not int or not 0 <= pad < source_dim:
         raise CatalogError(f"target_pad must be an integer in 0..{source_dim - 1}")
+    samples = raw.get("samples", [])
+    if not (isinstance(samples, list) and all(isinstance(x, dict) for x in samples)):
+        raise CatalogError("samples must be a list of objects")
     return DegenerationCertificate(
         source=source_id,
         target=target_id,
@@ -476,7 +490,7 @@ def certificate_from_dict(raw: dict) -> DegenerationCertificate:
         source_params=bindings(source_id, sparam),
         target_params=bindings(target_id, tparam),
         target_pad=pad,
-        samples=tuple(dict(s) for s in raw.get("samples", ())),
+        samples=tuple(dict(x) for x in samples),
         label=label,
     )
 
@@ -753,11 +767,7 @@ class _Suite:
     def _record_bindings(self, rec: ExtensionRecord):
         if rec.child_param is None:
             return ({},)
-        child = entry(rec.child)
-        out = []
-        for binding in family_samples(rec.child, self.config.samples):
-            out.append(binding)
-        return tuple(out)
+        return family_samples(rec.child, self.config.samples)
 
     def check_extensions(self) -> CheckResult:
         flagged = set(
@@ -927,8 +937,7 @@ class _Suite:
                 bad.append(f"{cert.label}: power dims do not dominate")
             if not ncr.ann_not_larger:
                 bad.append(f"{cert.label}: annihilator shrinks")
-            der_src = derivation_dimension(source)
-            der_tgt = derivation_dimension(target)
+            _, der_src, der_tgt = ncr.details[0]  # ("der", dim Der A, dim Der B)
             if family_indexed:
                 n_family += 1
                 if der_src > der_tgt:

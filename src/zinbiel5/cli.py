@@ -25,6 +25,7 @@ from .algebra import (
     power_filtration,
 )
 from .catalog import (
+    MAX_DIM,
     CatalogError,
     SuiteConfig,
     _file_scalar,
@@ -51,10 +52,6 @@ PASS_VERDICTS = ("pass", "verified")
 # ---------------------------------------------------------------------------
 # rendering helpers
 # ---------------------------------------------------------------------------
-
-
-def _scalar(v) -> str:
-    return str(v)
 
 
 def _combination(terms) -> str:
@@ -93,7 +90,7 @@ def _form_text(mat: ExactMatrix) -> str:
 
 
 def _entries_payload(A: Algebra) -> list:
-    return [[i, j, k, _scalar(v)] for (i, j, k, v) in A.entries()]
+    return [[i, j, k, str(v)] for (i, j, k, v) in A.entries()]
 
 
 def _entries_text(A: Algebra) -> list:
@@ -133,9 +130,12 @@ def _algebra_from_file(path: str) -> Algebra:
     raw = _load_json(path)
     if not isinstance(raw, dict) or "dim" not in raw or "entries" not in raw:
         raise CatalogError(f"{path}: expected an object with dim and entries")
+    dim = raw["dim"]
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+        raise CatalogError(f"{path}: dim must be an integer in 1..{MAX_DIM}")
     label = raw.get("label") or raw.get("id") or path
     entries = [(i, j, k, _file_scalar(v)) for i, j, k, v in raw["entries"]]
-    return algebra_from_entries(int(raw["dim"]), entries, label=label)
+    return algebra_from_entries(dim, entries, label=label)
 
 
 def _resolve_algebra(args) -> Algebra:
@@ -194,8 +194,8 @@ def _cmd_identity(args) -> int:
     if not rep.ok:
         payload["witness"] = {
             "indices": list(rep.witness),
-            "lhs": [_scalar(v) for v in rep.lhs],
-            "rhs": [_scalar(v) for v in rep.rhs],
+            "lhs": [str(v) for v in rep.lhs],
+            "rhs": [str(v) for v in rep.rhs],
         }
         spot = ", ".join(f"e{i}" for i in rep.witness)
         lines.append(
@@ -212,7 +212,7 @@ def _cmd_ann(args) -> int:
         "command": "ann",
         "algebra": A.label,
         "dim": len(basis),
-        "basis": [[_scalar(v) for v in vec] for vec in basis],
+        "basis": [[str(v) for v in vec] for vec in basis],
         "verdict": "pass",
     }
     lines = [f"dim Ann = {len(basis)}"]
@@ -405,7 +405,7 @@ def _cmd_act(args) -> int:
     payload = {
         "command": "act",
         "algebra": A.label,
-        "det": _scalar(P.det()),
+        "det": str(P.det()),
         "result": {"dim": B.dim, "entries": _entries_payload(B)},
         "verdict": "pass",
     }
@@ -416,7 +416,10 @@ def _cmd_act(args) -> int:
 
 def _cmd_degenerate(args) -> int:
     if args.cert:
-        cert = certificate_from_dict(_load_json(args.cert))
+        raw = _load_json(args.cert)
+        if not isinstance(raw, dict):
+            raise CatalogError(f"{args.cert}: expected a certificate object")
+        cert = certificate_from_dict(raw)
     elif args.label:
         from .catalog import certificates
 
@@ -436,7 +439,7 @@ def _cmd_degenerate(args) -> int:
         "mode": report.mode,
         "samples": [
             {
-                "params": [[k, _scalar(v)] for k, v in s.params],
+                "params": [list(p) for p in s.params],
                 "verdict": s.verdict,
                 "mode": s.mode,
                 "branch": [list(b) for b in s.branch],

@@ -3,14 +3,17 @@
 A certificate names a source family (optionally with a parametrized index
 f(t)), a target algebra, and an n x n grid of basis expressions E_i(t).
 Verification transports the source structure constants into that basis and
-takes t -> 0: exact tier over Puiseux series first, arbitrary-precision
-numerics with Richardson extrapolation when an expression leaves the exact
-coefficient field.
+takes t -> 0.  The exact tier expands every entry as a Puiseux series and
+reads off the limit; when an expression leaves the exact coefficient field,
+the numeric tier evaluates the same transport with mpmath along a ladder of
+t values and extrapolates to t = 0 (Neville).  Both tiers evaluate entries
+through the one expression evaluator of ``series``, share one transport
+loop, and report through ``SampleResult``.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -29,7 +32,8 @@ from .series import (
     NonExpandable,
     PuiseuxSeries,
     Radical,
-    TExpression,
+    TConst,
+    _to_mpmath,
     collect_sqrt_keys,
     evaluate_numeric,
     evaluate_scalar,
@@ -79,50 +83,17 @@ class FamilyTensor:
 
     @staticmethod
     def from_algebra(A: Algebra, label: str = "") -> "FamilyTensor":
-        entries = tuple(
-            (i, j, k, TExpressionConst(v)) for i, j, k, v in A.entries()
-        )
+        entries = tuple((i, j, k, TConst(v)) for i, j, k, v in A.entries())
         return FamilyTensor(A.dim, entries, (), label or A.label)
 
     def instantiate(self, params: Dict[str, GaussianRational], label: str = "") -> Algebra:
         from .algebra import algebra_from_entries
 
-        vals = [
-            (i, j, k, _eval_entry_scalar(e, params)) for i, j, k, e in self.entries
-        ]
+        vals = [(i, j, k, evaluate_scalar(e, params)) for i, j, k, e in self.entries]
         tag = tuple(sorted((s, params[s]) for s in self.symbols)) if self.symbols else ()
         return algebra_from_entries(
             self.dim, vals, label=label or self.label, params=tag
         )
-
-
-@dataclass(frozen=True)
-class TExpressionConst(TExpression):
-    """A pre-evaluated Gaussian-rational constant wrapped as an expression."""
-
-    value: GaussianRational
-
-
-def _eval_entry_scalar(e, params):
-    if isinstance(e, TExpressionConst):
-        return e.value
-    return evaluate_scalar(e, params)
-
-
-def _eval_entry_series(e, params, ram, trunc, branch):
-    if isinstance(e, TExpressionConst):
-        return PuiseuxSeries.scalar(e.value, ram)
-    return expand_series(e, ram=ram, trunc=trunc, params=params, branch=branch)
-
-
-def _eval_entry_numeric(e, tval, params, branch):
-    if isinstance(e, TExpressionConst):
-        v = e.value
-        return mpmath.mpc(
-            mpmath.mpf(v.re.numerator) / v.re.denominator,
-            mpmath.mpf(v.im.numerator) / v.im.denominator,
-        )
-    return evaluate_numeric(e, tval, params=params, branch=branch)
 
 
 @dataclass(frozen=True)
@@ -140,13 +111,13 @@ class DegenerationCertificate:
 
 @dataclass(frozen=True)
 class SampleResult:
-    params: tuple
     verdict: str
     mode: str
     branch: tuple
     max_residual: str
     failures: tuple
     det_valuation: Optional[Fraction]
+    params: tuple = ()  # ((symbol, value text), ...) of the sample
 
     def as_dict(self):
         return {
@@ -236,6 +207,39 @@ def _series_matrix_inverse(rows: List[List[PuiseuxSeries]], trunc: int):
     return ident, det
 
 
+def _transport(dim, entries, E, inv, value, zero):
+    """The constants (a, b, k, expr) moved to the basis rows E, times inv.
+
+    w[i][j][k] = sum of E[i][a] * E[j][b] * value(expr); the result is the
+    grid w . inv.  Terms with a factor equal to ``zero`` are skipped (a
+    truncated series with no known term is not equal to the exact zero).
+    """
+    w = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, b, k, expr in entries:
+        c = value(expr)
+        if c == zero:
+            continue
+        for i in range(dim):
+            Eia = E[i][a - 1]
+            if Eia == zero:
+                continue
+            for j in range(dim):
+                Ejb = E[j][b - 1]
+                if Ejb == zero:
+                    continue
+                w[i][j][k - 1] = w[i][j][k - 1] + Eia * Ejb * c
+    return tuple(
+        tuple(
+            tuple(
+                sum((wm * inv[m][k] for m, wm in enumerate(w[i][j]) if wm != zero), zero)
+                for k in range(dim)
+            )
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+
+
 def transported_constants(
     dim: int,
     entries: Sequence,
@@ -252,49 +256,14 @@ def transported_constants(
     Returns (grid, det) with grid[i][j][k] a PuiseuxSeries and det the basis
     determinant series.
     """
-    flat = [basis[i][j] for i in range(dim) for j in range(dim)]
-    ram = infer_ramification(
-        [e for e in flat if not isinstance(e, TExpressionConst)]
-    )
-    E = [
-        [
-            _eval_entry_series(basis[i][j], params, ram, trunc, branch)
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
+    ram = infer_ramification([e for row in basis for e in row])
+
+    def value(e):
+        return expand_series(e, ram=ram, trunc=trunc, params=params, branch=branch)
+
+    E = [[value(e) for e in row] for row in basis]
     inv, det = _series_matrix_inverse(E, trunc)
-    zero = PuiseuxSeries.zero()
-    w = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for (a, b, k, expr) in entries:
-        cval = _eval_entry_series(expr, params, ram, trunc, branch)
-        if cval.known_zero and cval.is_exact:
-            continue
-        for i in range(dim):
-            Eia = E[i][a - 1]
-            if Eia.known_zero and Eia.is_exact:
-                continue
-            for j in range(dim):
-                Ejb = E[j][b - 1]
-                if Ejb.known_zero and Ejb.is_exact:
-                    continue
-                w[i][j][k - 1] = w[i][j][k - 1] + Eia * Ejb * cval
-    grid = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            coords = []
-            for k in range(dim):
-                acc = zero
-                for m in range(dim):
-                    wm = w[i][j][m]
-                    if wm.known_zero and wm.is_exact:
-                        continue
-                    acc = acc + wm * inv[m][k]
-                coords.append(acc)
-            plane.append(tuple(coords))
-        grid.append(tuple(plane))
-    return tuple(grid), det
+    return _transport(dim, entries, E, inv, value, PuiseuxSeries.zero()), det
 
 
 def _limit_status(s: PuiseuxSeries):
@@ -351,18 +320,11 @@ def _sample_bindings(cert: DegenerationCertificate):
 
 
 def _branch_assignments(keys):
-    if not keys:
-        yield {}
-        return
     for signs in itertools.product((1, -1), repeat=len(keys)):
         yield dict(zip(keys, signs))
 
 
-def _format_radical(r: Radical) -> str:
-    return str(r)
-
-
-def _exact_attempt(source, basis_grid, target, scalar_params, series_params, branch, trunc):
+def _exact_attempt(source, basis_grid, target, series_params, branch, trunc):
     """One exact verification pass; returns (status, failures, det_valuation).
 
     status: 'verified' | 'failed' | 'unknown'; failures lists (i,j,k,limit).
@@ -395,9 +357,7 @@ def _exact_attempt(source, basis_grid, target, scalar_params, series_params, bra
                     continue
                 expect = Radical.from_gaussian(target.c[i][j][k])
                 if limit != expect:
-                    failures.append(
-                        (i + 1, j + 1, k + 1, _format_radical(limit - expect))
-                    )
+                    failures.append((i + 1, j + 1, k + 1, str(limit - expect)))
     if failures:
         return "failed", tuple(failures), det_val
     if unknown:
@@ -422,18 +382,10 @@ def _neville_at_zero(xs, ys):
 def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, branch):
     """Numeric transport along the t-ladder with Richardson extrapolation."""
     dim = source.dim
-    flat = [basis_grid[i][j] for i in range(dim) for j in range(dim)]
     try:
-        ram = infer_ramification([e for e in flat if not isinstance(e, TExpressionConst)])
+        ram = infer_ramification([e for row in basis_grid for e in row])
     except NonExpandable:
         ram = 12
-    num_params = {
-        name: mpmath.mpc(
-            mpmath.mpf(v.re.numerator) / v.re.denominator,
-            mpmath.mpf(v.im.numerator) / v.im.denominator,
-        )
-        for name, v in scalar_params.items()
-    }
     tol = mpmath.mpf(NUMERIC_TOLERANCE)
     # a finer ramification spreads the ladder in s = t^(1/ram); deepen it so
     # the Neville product error stays well under the tolerance
@@ -446,45 +398,25 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
     dets = []
     for tstr in ladder:
         tval = mpmath.mpf(tstr)
-        params_t = dict(num_params)
+        params_t = dict(scalar_params)
         if index_expr is not None:
             params_t[source.symbols[0]] = evaluate_numeric(
-                index_expr, tval, params=num_params, branch=branch
+                index_expr, tval, params=scalar_params, branch=branch
             )
-        B = mpmath.matrix(dim, dim)
-        for i in range(dim):
-            for j in range(dim):
-                B[i, j] = _eval_entry_numeric(basis_grid[i][j], tval, params_t, branch)
+
+        def value(e):
+            return evaluate_numeric(e, tval, params=params_t, branch=branch)
+
+        E = [[value(e) for e in row] for row in basis_grid]
+        B = mpmath.matrix(E)
         det = mpmath.det(B)
         if abs(det) == 0:
             return "inconclusive", (), None, str(mpmath.mpf(1))
         dets.append((tval, det))
-        Binv = B**-1
-        w = [[[mpmath.mpc(0) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        for (a, b, k, expr) in source.entries:
-            cval = _eval_entry_numeric(expr, tval, params_t, branch)
-            if cval == 0:
-                continue
-            for i in range(dim):
-                Eia = B[i, a - 1]
-                if Eia == 0:
-                    continue
-                for j in range(dim):
-                    Ejb = B[j, b - 1]
-                    if Ejb == 0:
-                        continue
-                    w[i][j][k - 1] += Eia * Ejb * cval
-        grid_t = [
-            [
-                [
-                    sum(w[i][j][m] * Binv[m, k] for m in range(dim))
-                    for k in range(dim)
-                ]
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        samples.append((tval, grid_t))
+        grid = _transport(
+            dim, source.entries, E, (B**-1).tolist(), value, mpmath.mpc(0)
+        )
+        samples.append((tval, grid))
     xs = [mpmath.power(tval, mpmath.mpf(1) / ram) for tval, _ in samples]
     failures = []
     worst = mpmath.mpf(0)
@@ -493,11 +425,7 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
             for k in range(dim):
                 ys = [g[i][j][k] for _, g in samples]
                 limit = _neville_at_zero(xs, ys)
-                tv = target.c[i][j][k]
-                tnum = mpmath.mpc(
-                    mpmath.mpf(tv.re.numerator) / tv.re.denominator,
-                    mpmath.mpf(tv.im.numerator) / tv.im.denominator,
-                )
+                tnum = _to_mpmath(target.c[i][j][k])
                 err = abs(limit - tnum) / max(1, abs(tnum))
                 worst = max(worst, err)
                 if err > tol:
@@ -537,7 +465,7 @@ def verify_certificate(
     index_expr = None if cert.source_index is None else parse_expression(cert.source_index)
     if index_expr is not None and not source.symbols:
         raise ValueError("certificate has an index but the source is not parametric")
-    branch_targets = [e for row in basis_grid for e in row if not isinstance(e, TExpressionConst)]
+    branch_targets = [e for row in basis_grid for e in row]
     if index_expr is not None:
         branch_targets.append(index_expr)
     keys = collect_sqrt_keys(branch_targets)
@@ -568,25 +496,10 @@ def verify_certificate(
             )
         if result is None:
             result = SampleResult(
-                tuple(sorted((k, v) for k, v in sample.items())),
-                "inconclusive",
-                "exact",
-                (),
-                "n/a",
-                (("non-expandable",),),
-                None,
+                "inconclusive", "exact", (), "n/a", (("non-expandable",),), None
             )
-        results.append(
-            SampleResult(
-                tuple(sorted((k, str(v)) for k, v in scalar_params.items())),
-                result.verdict,
-                result.mode,
-                result.branch,
-                result.max_residual,
-                result.failures,
-                result.det_valuation,
-            )
-        )
+        params = tuple(sorted((k, str(v)) for k, v in scalar_params.items()))
+        results.append(replace(result, params=params))
     verdicts = [r.verdict for r in results]
     if all(v == "verified" for v in verdicts):
         verdict = "verified"
@@ -599,50 +512,34 @@ def verify_certificate(
     return DegenerationReport(verdict, overall_mode, tuple(results), label=cert.label)
 
 
-@dataclass(frozen=True)
-class _Attempt:
-    verdict: str
-    mode: str
-    branch: tuple
-    max_residual: str
-    failures: tuple
-    det_valuation: Optional[Fraction]
-
-
 def _verify_exact_sample(source, basis_grid, target, scalar_params, index_expr, keys, trunc):
     """Try every branch exactly; None means fall back to numerics."""
     best_failed = None
     saw_unknown = False
     for branch in _branch_assignments(keys):
-        series_params = {k: v for k, v in scalar_params.items()}
         for attempt_trunc in (trunc, 2 * trunc):
             try:
-                params = dict(series_params)
+                params = dict(scalar_params)
                 if index_expr is not None:
                     params[source.symbols[0]] = expand_series(
                         index_expr,
                         trunc=attempt_trunc,
-                        params=series_params,
+                        params=scalar_params,
                         branch=branch,
                     )
                 status, failures, det_val = _exact_attempt(
-                    source, basis_grid, target, scalar_params, params, branch, attempt_trunc
+                    source, basis_grid, target, params, branch, attempt_trunc
                 )
             except NonExpandable:
                 return None
             except ZeroDivisionError:
                 status, failures, det_val = "failed", (("basis", "singular"),), None
             if status == "verified":
-                return _Attempt(
-                    "verified",
-                    "exact",
-                    tuple(sorted(branch.items())),
-                    "0",
-                    (),
-                    det_val,
+                return SampleResult(
+                    "verified", "exact", tuple(sorted(branch.items())), "0", (), det_val
                 )
             if status == "failed":
-                best_failed = _Attempt(
+                best_failed = SampleResult(
                     "failed",
                     "exact",
                     tuple(sorted(branch.items())),
@@ -653,7 +550,7 @@ def _verify_exact_sample(source, basis_grid, target, scalar_params, index_expr, 
                 break  # doubling truncation will not undo an exact mismatch
             saw_unknown = True
     if saw_unknown:
-        return _Attempt("inconclusive", "exact", (), "n/a", (), None)
+        return SampleResult("inconclusive", "exact", (), "n/a", (), None)
     return best_failed
 
 
@@ -667,7 +564,7 @@ def _verify_numeric_sample(
             status, failures, det_val, worst = _numeric_attempt(
                 source, basis_grid, target, scalar_params, index_expr, branch
             )
-            attempt = _Attempt(
+            attempt = SampleResult(
                 status,
                 "numeric",
                 tuple(sorted(branch.items())),

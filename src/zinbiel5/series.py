@@ -32,6 +32,7 @@ __all__ = [
     "TDiv",
     "TPow",
     "TSqrt",
+    "TConst",
     "parse_expression",
     "to_text",
     "expression_symbols",
@@ -124,6 +125,13 @@ class TPow(TExpression):
 @dataclass(frozen=True)
 class TSqrt(TExpression):
     arg: TExpression
+
+
+@dataclass(frozen=True)
+class TConst(TExpression):
+    """A Gaussian-rational constant, such as a given algebra's structure constant."""
+
+    value: GaussianRational
 
 
 _TOKEN = re.compile(
@@ -309,25 +317,21 @@ def to_text(e: TExpression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _postorder(e: TExpression):
+    """Every node of the tree, each after its children (left to right)."""
+    if isinstance(e, (TNeg, TSqrt)):
+        yield from _postorder(e.arg)
+    elif isinstance(e, (TAdd, TSub, TMul, TDiv)):
+        yield from _postorder(e.left)
+        yield from _postorder(e.right)
+    elif isinstance(e, TPow):
+        yield from _postorder(e.base)
+    yield e
+
+
 def expression_symbols(e: TExpression) -> set:
     """Parameter symbols appearing in the expression."""
-    out = set()
-
-    def walk(node):
-        if isinstance(node, TSym):
-            out.add(node.name)
-        elif isinstance(node, TNeg):
-            walk(node.arg)
-        elif isinstance(node, (TAdd, TSub, TMul, TDiv)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, TPow):
-            walk(node.base)
-        elif isinstance(node, TSqrt):
-            walk(node.arg)
-
-    walk(e)
-    return out
+    return {node.name for node in _postorder(e) if isinstance(node, TSym)}
 
 
 def collect_sqrt_keys(exprs: Iterable[TExpression]):
@@ -336,50 +340,28 @@ def collect_sqrt_keys(exprs: Iterable[TExpression]):
     A half-integer power contributes the same key as sqrt of its base, so
     the two spellings share one branch choice.
     """
-    keys = []
-
-    def walk(node):
-        if isinstance(node, TNeg):
-            walk(node.arg)
-        elif isinstance(node, (TAdd, TSub, TMul, TDiv)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, TPow):
-            walk(node.base)
-            if node.exponent.denominator % 2 == 0 and not isinstance(node.base, TVar):
-                key = to_text(node.base)
-                if key not in keys:
-                    keys.append(key)
-        elif isinstance(node, TSqrt):
-            walk(node.arg)
-            key = to_text(node.arg)
-            if key not in keys:
-                keys.append(key)
-
+    keys = {}
     for e in exprs:
-        walk(parse_expression(e))
-    return keys
+        for node in _postorder(parse_expression(e)):
+            if isinstance(node, TSqrt):
+                keys[to_text(node.arg)] = None
+            elif (
+                isinstance(node, TPow)
+                and node.exponent.denominator % 2 == 0
+                and not isinstance(node.base, TVar)
+            ):
+                keys[to_text(node.base)] = None
+    return list(keys)
 
 
 def infer_ramification(exprs: Iterable[TExpression]) -> int:
     """LCM of rational-exponent denominators across the expressions."""
-    den = 1
-
-    def walk(node):
-        nonlocal den
-        if isinstance(node, TNeg):
-            walk(node.arg)
-        elif isinstance(node, (TAdd, TSub, TMul, TDiv)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, TPow):
-            den = den * node.exponent.denominator // math.gcd(den, node.exponent.denominator)
-            walk(node.base)
-        elif isinstance(node, TSqrt):
-            walk(node.arg)
-
-    for e in exprs:
-        walk(parse_expression(e))
+    den = math.lcm(*(
+        node.exponent.denominator
+        for e in exprs
+        for node in _postorder(parse_expression(e))
+        if isinstance(node, TPow)
+    ))
     if den > RAMIFICATION_CAP:
         raise NonExpandable(f"ramification {den} exceeds cap {RAMIFICATION_CAP}")
     return den
@@ -503,14 +485,9 @@ class Radical:
 
     def numeric(self):
         """mpmath complex value at current mpmath precision."""
-        total = mpmath.mpc(0)
-        for d, c in self.terms:
-            root = mpmath.sqrt(d)
-            total += mpmath.mpc(
-                mpmath.mpf(c.re.numerator) / c.re.denominator,
-                mpmath.mpf(c.im.numerator) / c.im.denominator,
-            ) * root
-        return total
+        return sum(
+            (_to_mpmath(c) * mpmath.sqrt(d) for d, c in self.terms), mpmath.mpc(0)
+        )
 
     def __str__(self):
         if not self.terms:
@@ -921,8 +898,8 @@ class _SeriesContext:
         self.trunc = trunc
         self.branch = branch or {}
 
-    def number(self, fr):
-        return PuiseuxSeries.scalar(grat(fr), self.ram)
+    def number(self, value):
+        return PuiseuxSeries.scalar(grat(value), self.ram)
 
     def imaginary(self):
         return PuiseuxSeries.scalar(GaussianRational(0, 1), self.ram)
@@ -947,8 +924,8 @@ class _ScalarContext:
         self.params = params or {}
         self.tval = tval
 
-    def number(self, fr):
-        return grat(fr)
+    def number(self, value):
+        return grat(value)
 
     def imaginary(self):
         return GaussianRational(0, 1)
@@ -977,14 +954,23 @@ class _ScalarContext:
         return sqrt_gaussian(x).gaussian_value()
 
 
+def _to_mpmath(v):
+    """A Fraction as an mpmath real, a Gaussian rational as an mpmath complex.
+
+    Rounded to the current mpmath precision.
+    """
+    if isinstance(v, Fraction):
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.mpc(_to_mpmath(v.re), _to_mpmath(v.im))
+
+
 class _NumericContext:
     def __init__(self, tval, params, branch):
         self.tval = mpmath.mpf(tval)
         self.params = params or {}
         self.branch = branch or {}
 
-    def number(self, fr):
-        return mpmath.mpf(fr.numerator) / fr.denominator
+    number = staticmethod(_to_mpmath)
 
     def imaginary(self):
         return mpmath.mpc(0, 1)
@@ -996,12 +982,7 @@ class _NumericContext:
         if name not in self.params:
             raise NonExpandable(f"unbound parameter {name!r}")
         v = self.params[name]
-        if isinstance(v, GaussianRational):
-            return mpmath.mpc(
-                mpmath.mpf(v.re.numerator) / v.re.denominator,
-                mpmath.mpf(v.im.numerator) / v.im.denominator,
-            )
-        return v
+        return _to_mpmath(v) if isinstance(v, GaussianRational) else v
 
     def power(self, x, e, key):
         if e.denominator == 1:
@@ -1015,7 +996,7 @@ class _NumericContext:
 
 
 def _evaluate(e: TExpression, ctx):
-    if isinstance(e, TNum):
+    if isinstance(e, (TNum, TConst)):
         return ctx.number(e.value)
     if isinstance(e, TImag):
         return ctx.imaginary()

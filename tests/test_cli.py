@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zinbiel5.catalog import MAX_DIM
 from zinbiel5.cli import _form_text, _vector_text, main
 from zinbiel5.exactmath import ExactMatrix, GaussianRational
 
@@ -286,11 +287,17 @@ def _z04_z01_row():
         ("basis", {"diag": ["1", "1", "1", "1", 1.0]}, "invalid scalar 1.0"),
         ("row 5", {"0": "1"}, "basis column '0' outside 1..5"),
         ("row 5", {"9": "1"}, "basis column '9' outside 1..5"),
+        ("source", [1], "source must be an id string"),
+        ("basis", 5, "basis must be a list of rows"),
+        ("samples", [1], "samples must be a list of objects"),
+        (None, [1], "expected a certificate object"),
     ],
 )
 def test_malformed_certificate_file_exits_2(capsys, tmp_path, key, value, message):
     cert = _z04_z01_row()
-    if key == "row 5":
+    if key is None:
+        cert = value
+    elif key == "row 5":
         cert["basis"][4] = value
     else:
         cert[key] = value
@@ -430,6 +437,27 @@ def test_malformed_scalar_in_file_exits_2(capsys, tmp_path, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid scalar") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", [5.5, True, "5", 0, MAX_DIM + 1])
+def test_algebra_file_dim_out_of_range_exits_2(capsys, tmp_path, dim):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": dim, "entries": []}))
+    code, out, err = run(capsys, "identity", "--file", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"dim must be an integer in 1..{MAX_DIM}\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ref", [("zero", "--dim", str(MAX_DIM + 1)), (f"zero^{MAX_DIM + 1}",)]
+)
+def test_zero_algebra_dim_out_of_range_exits_2(capsys, ref):
+    code, out, err = run(capsys, "ann", "--algebra", *ref)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: zero algebra needs an integer dim in 1..{MAX_DIM}\n"
 
 
 def test_excluded_family_value_exits_2(capsys):
