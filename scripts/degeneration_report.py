@@ -15,52 +15,36 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from zinbiel5.catalog import certificates
 from zinbiel5.degeneration import verify_certificate
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    mode: str = "auto"
-    trunc: int = 16
-    precision: int = None
-    only: str = ""
-    json_path: str = ""
-
-
-def parse_args(argv=None) -> ReportConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
     parser.add_argument("--truncation", type=int, default=16)
     parser.add_argument("--precision", type=int, default=None, help="numeric bits")
     parser.add_argument("--only", default="", help="substring filter on labels")
     parser.add_argument("--json", default="", help="also write results to this file")
-    ns = parser.parse_args(argv)
-    return ReportConfig(
-        mode=ns.mode,
-        trunc=ns.truncation,
-        precision=ns.precision,
-        only=ns.only,
-        json_path=ns.json,
-    )
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv)
+    args = parse_args(argv)
     rows = []
     verdicts = Counter()
     tiers = Counter()
     for cert in certificates():
-        if config.only and config.only not in cert.label:
+        if args.only and args.only not in cert.label:
             continue
-        report = verify_certificate(
-            cert,
-            mode=config.mode,
-            trunc=config.trunc,
-            precision=config.precision,
-        )
+        try:
+            report = verify_certificate(
+                cert, mode=args.mode, trunc=args.truncation, precision=args.precision
+            )
+        except ValueError as exc:  # e.g. a truncation or precision out of range
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         verdicts[report.verdict] += 1
         tiers[report.mode] += 1
         dets = sorted(
@@ -89,11 +73,11 @@ def main(argv=None) -> int:
     print(f"\n{total} certificates:",
           " ".join(f"{k}={v}" for k, v in sorted(verdicts.items())),
           "| tiers:", " ".join(f"{k}={v}" for k, v in sorted(tiers.items())))
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as fh:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {config.json_path}")
+        print(f"wrote {args.json}")
     return 0 if total and verdicts.get("verified", 0) == total else 1
 
 

@@ -24,7 +24,11 @@ def main(argv=None) -> int:
         mode=ns.mode,
         trunc=ns.truncation,
     )
-    report = verify_all(config)
+    try:
+        report = verify_all(config)
+    except ValueError as exc:  # e.g. a truncation out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.as_json() if ns.format == "json" else report.as_text())
     return 0 if report.ok else 1
 

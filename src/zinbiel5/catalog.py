@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -17,10 +17,8 @@ from .algebra import (
     Algebra,
     algebra_from_entries,
     annihilator,
-    change_basis,
     check_identity,
     derivation_dimension,
-    direct_sum,
     fingerprint,
     power_filtration,
     zero_algebra,
@@ -37,6 +35,7 @@ from .degeneration import (
     DegenerationCertificate,
     FamilyTensor,
     RSet,
+    _resolve_target,
     necessary_conditions,
     rset_membership,
     verify_certificate,
@@ -152,20 +151,22 @@ def _load(name: str) -> dict:
 def _entries_by_id():
     table = {}
     for raw in _load("algebras")["algebras"]:
-        eid = raw["id"]
-        if eid in table:
-            raise CatalogError(f"duplicate catalog id {eid!r}")
-        table[eid] = CatalogEntry(
-            id=eid,
-            dim=raw["dim"],
-            tags=tuple(raw.get("tags", ())),
-            source=raw.get("source", ""),
-            params=tuple(raw.get("params", ())),
-            entries=tuple(
-                (e["i"], e["j"], e["k"], e["c"]) for e in raw["entries"]
-            ),
-        )
+        if raw["id"] in table:
+            raise CatalogError(f"duplicate catalog id {raw['id']!r}")
+        table[raw["id"]] = _entry_from_raw(raw)
     return table
+
+
+def _entry_from_raw(raw: dict) -> CatalogEntry:
+    """A catalog entry from its JSON object (as in algebras.json)."""
+    return CatalogEntry(
+        id=raw["id"],
+        dim=raw["dim"],
+        tags=tuple(raw.get("tags", ())),
+        source=raw.get("source", ""),
+        params=tuple(raw.get("params", ())),
+        entries=tuple((e["i"], e["j"], e["k"], e["c"]) for e in raw["entries"]),
+    )
 
 
 def entry(eid: str) -> CatalogEntry:
@@ -320,15 +321,7 @@ def entry_to_json(e: CatalogEntry) -> str:
 
 
 def entry_from_json(text: str) -> CatalogEntry:
-    raw = json.loads(text)
-    return CatalogEntry(
-        id=raw["id"],
-        dim=raw["dim"],
-        tags=tuple(raw.get("tags", ())),
-        source=raw.get("source", ""),
-        params=tuple(raw.get("params", ())),
-        entries=tuple((e["i"], e["j"], e["k"], e["c"]) for e in raw["entries"]),
-    )
+    return _entry_from_raw(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -916,9 +909,7 @@ class _Suite:
             name: evaluate_scalar(expr, scalar)
             for name, expr in cert.target_params
         }
-        target = instantiate(cert.target, tparams or None)
-        if cert.target_pad:
-            target = direct_sum(target, zero_algebra(cert.target_pad))
+        target = _resolve_target(cert.target, tparams, cert.target_pad)
         family_indexed = (
             src_entry.is_parametric and cert.source_index is not None
             and src_entry.symbols[0] not in {k for k, _ in cert.source_params}

@@ -55,11 +55,19 @@ __all__ = [
     "rset_membership",
     "NUMERIC_LADDER",
     "NUMERIC_TOLERANCE",
+    "MAX_TRUNCATION",
+    "MIN_PRECISION_BITS",
+    "MAX_PRECISION_BITS",
 ]
 
 NUMERIC_LADDER = tuple(f"1e-{k}" for k in range(2, 10))
 NUMERIC_TOLERANCE = "1e-10"
 NUMERIC_PRECISION_BITS = 256
+# Accepted ranges of the caller's truncation and working precision (bits):
+# series cost grows steeply with truncation, and below double precision
+# the numeric tier cannot resolve NUMERIC_TOLERANCE.
+MAX_TRUNCATION = 128
+MIN_PRECISION_BITS, MAX_PRECISION_BITS = 53, 8192
 
 
 @dataclass(frozen=True)
@@ -451,12 +459,20 @@ def verify_certificate(
     mode: 'exact' (no fallback), 'numeric', or 'auto' (exact first, numeric
     when an expression cannot be expanded exactly).  Exact failures are
     definite; numeric mismatches are reported as inconclusive.  precision
-    overrides the working precision (in bits) of the numeric tier.
+    overrides the working precision (in bits) of the numeric tier.  trunc
+    must be an integer in 1..MAX_TRUNCATION and precision one in
+    MIN_PRECISION_BITS..MAX_PRECISION_BITS.
     """
     if mode not in ("auto", "exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
+    if type(trunc) is not int or not 1 <= trunc <= MAX_TRUNCATION:
+        raise ValueError(f"truncation must be an integer in 1..{MAX_TRUNCATION}")
     if precision is None:
         precision = NUMERIC_PRECISION_BITS
+    if type(precision) is not int or not MIN_PRECISION_BITS <= precision <= MAX_PRECISION_BITS:
+        raise ValueError(
+            f"precision must be an integer in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} bits"
+        )
     source = _resolve_source(cert.source)
     dim = source.dim
     basis_grid = [

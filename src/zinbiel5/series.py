@@ -1,14 +1,18 @@
 """Expression trees in one deformation parameter and exact Puiseux series.
 
 Expressions cover Gaussian-rational literals, the deformation variable t,
-named parameter symbols, field operations, rational powers and sqrt.  The
-exact evaluation tier expands them as Laurent–Puiseux series whose
-coefficients live in Q(i) extended by lazily adjoined square roots of
-square-free integers; the numeric tier evaluates them with mpmath.
+named parameter symbols, field operations, rational powers and sqrt.  One
+evaluator walks a tree under an exact-series, Q(i)-scalar or mpmath context;
+sqrt is the power 1/2, and exponents are folded by the scalar context.  The
+exact tier expands expressions as Laurent–Puiseux series whose coefficients
+live in Q(i) extended by lazily adjoined square roots of square-free
+integers; inverses and square roots share one truncated binomial-series
+kernel.  The numeric tier evaluates them with mpmath.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,6 +137,14 @@ class TConst(TExpression):
 
     value: GaussianRational
 
+
+# each binary node's spelling and operation
+_BINARY = {
+    TAdd: ("+", operator.add),
+    TSub: ("-", operator.sub),
+    TMul: ("*", operator.mul),
+    TDiv: ("/", operator.truediv),
+}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -261,20 +273,12 @@ class _Parser:
 
 def _fold_rational(e: TExpression) -> Fraction:
     """Constant-fold an exponent expression to a rational number."""
-    if isinstance(e, TNum):
-        return e.value
-    if isinstance(e, TNeg):
-        return -_fold_rational(e.arg)
-    if isinstance(e, TAdd):
-        return _fold_rational(e.left) + _fold_rational(e.right)
-    if isinstance(e, TSub):
-        return _fold_rational(e.left) - _fold_rational(e.right)
-    if isinstance(e, TMul):
-        return _fold_rational(e.left) * _fold_rational(e.right)
-    if isinstance(e, TDiv):
-        return _fold_rational(e.left) / _fold_rational(e.right)
-    if isinstance(e, TPow) and e.exponent.denominator == 1:
-        return _fold_rational(e.base) ** int(e.exponent)
+    try:
+        value = _evaluate(e, _ScalarContext(None))
+        if not value.im:
+            return value.re
+    except NonExpandable:
+        pass
     raise ValueError("exponent is not a rational constant")
 
 
@@ -284,7 +288,11 @@ def parse_expression(text) -> TExpression:
         return text
     if isinstance(text, (int, Fraction)):
         return TNum(Fraction(text))
-    return _Parser(_tokenize(str(text))).parse()
+    text = str(text)
+    try:
+        return _Parser(_tokenize(text)).parse()
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {text[:40]!r}") from None
 
 
 def to_text(e: TExpression) -> str:
@@ -300,14 +308,8 @@ def to_text(e: TExpression) -> str:
         return e.name
     if isinstance(e, TNeg):
         return f"(-{to_text(e.arg)})"
-    if isinstance(e, TAdd):
-        return f"({to_text(e.left)}+{to_text(e.right)})"
-    if isinstance(e, TSub):
-        return f"({to_text(e.left)}-{to_text(e.right)})"
-    if isinstance(e, TMul):
-        return f"({to_text(e.left)}*{to_text(e.right)})"
-    if isinstance(e, TDiv):
-        return f"({to_text(e.left)}/{to_text(e.right)})"
+    if type(e) in _BINARY:
+        return f"({to_text(e.left)}{_BINARY[type(e)][0]}{to_text(e.right)})"
     if isinstance(e, TPow):
         x = e.exponent
         ex = str(x.numerator) if x.denominator == 1 else f"({x.numerator}/{x.denominator})"
@@ -321,7 +323,7 @@ def _postorder(e: TExpression):
     """Every node of the tree, each after its children (left to right)."""
     if isinstance(e, (TNeg, TSqrt)):
         yield from _postorder(e.arg)
-    elif isinstance(e, (TAdd, TSub, TMul, TDiv)):
+    elif type(e) in _BINARY:
         yield from _postorder(e.left)
         yield from _postorder(e.right)
     elif isinstance(e, TPow):
@@ -500,6 +502,7 @@ class Radical:
 
 _RAD_ZERO = Radical(())
 _RAD_ONE = Radical.from_gaussian(ONE)
+_HALF = Fraction(1, 2)
 
 
 def _rational_sqrt(fr: Fraction) -> Optional[Fraction]:
@@ -550,10 +553,6 @@ def sqrt_gaussian(z: GaussianRational) -> Radical:
 # ---------------------------------------------------------------------------
 # Puiseux series
 # ---------------------------------------------------------------------------
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -637,7 +636,7 @@ class PuiseuxSeries:
 
     @staticmethod
     def _common(a: "PuiseuxSeries", b: "PuiseuxSeries"):
-        ram = _lcm(a.ram, b.ram)
+        ram = math.lcm(a.ram, b.ram)
         if ram > RAMIFICATION_CAP:
             raise NonExpandable(f"ramification {ram} exceeds cap {RAMIFICATION_CAP}")
         return a._lift(ram), b._lift(ram)
@@ -694,46 +693,38 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def _relative_budget(self, trunc: int) -> int:
-        """Number of known relative terms, in 1/ram units."""
-        if self.prec is None:
-            return trunc * self.ram
-        return self.prec - self.coeffs[0][0]
-
     def inverse(self, trunc: int = DEFAULT_TRUNCATION) -> "PuiseuxSeries":
         if not self.coeffs:
             if self.prec is None:
                 raise ZeroDivisionError("inverse of the zero series")
             raise NonExpandable("leading term of divisor unknown at this truncation")
+        return self._binomial(Fraction(-1), self.coeffs[0][1].inverse(), trunc)
+
+    def _binomial(self, alpha: Fraction, root: Radical, trunc: int) -> "PuiseuxSeries":
+        """self^alpha as root t^(v alpha) sum_j binom(alpha, j) u^j.
+
+        Here self = lead t^v (1+u), root is the chosen lead^alpha and v alpha
+        must be whole (in 1/ram units).  The sum keeps rel relative orders:
+        trunc of them when self is exact, else the span self is known over.
+        The result is known modulo t^(rel + v alpha), or exactly when self is
+        an exact monomial.
+        """
         v, lead = self.coeffs[0]
-        rel = self._relative_budget(trunc)
-        cinv = lead.inverse()
-        # u = self / (lead t^v) - 1 has positive valuation
-        shifted = PuiseuxSeries(
-            self.ram,
-            tuple((k - v, c * cinv) for k, c in self.coeffs),
-            None if self.prec is None else self.prec - v,
-        )
-        u = shifted - 1
+        rel = trunc * self.ram if self.prec is None else self.prec - v
+        u = self * PuiseuxSeries._build({-v: lead.inverse()}, self.ram, None) - 1
+        shift = int(v * alpha)
+        mono = PuiseuxSeries._build({shift: root}, self.ram, None)
         if not u.coeffs:
-            return PuiseuxSeries._build(
-                {-v: cinv}, self.ram, None if self.prec is None else self.prec - 2 * v
-            )
-        # geometric series: 1/(1+u) = 1 - u + u^2 - ...
-        uv = u.coeffs[0][0]
-        steps = rel // uv + 1
-        geom = PuiseuxSeries.scalar(ONE, self.ram)
-        term = PuiseuxSeries.scalar(ONE, self.ram)
-        sign = -1
-        for _ in range(steps):
+            return mono.truncate_units(None if self.prec is None else rel + shift)
+        total = term = PuiseuxSeries.scalar(ONE, self.ram)
+        coeff = Fraction(1)
+        for j in range(1, rel // u.coeffs[0][0] + 2):
+            coeff *= (alpha - j + 1) / j
             term = (term * u).truncate_units(rel)
             if not term.coeffs:
                 break
-            geom = geom + term * grat(sign)
-            sign = -sign
-        out = geom * PuiseuxSeries._build({-v: cinv}, self.ram, None)
-        # geom is known modulo t^rel; the monomial shifts that bound by -v
-        return out.truncate_units(rel - v)
+            total = total + term * grat(coeff)
+        return (total * mono).truncate_units(rel + shift)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -766,33 +757,9 @@ class PuiseuxSeries:
             if work.ram * 2 > RAMIFICATION_CAP:
                 raise NonExpandable("odd valuation under sqrt exceeds ramification cap")
             work = work._lift(work.ram * 2)
-        v, lead = work.coeffs[0]
+        lead = work.coeffs[0][1]
         root = sqrt_gaussian(lead.gaussian_value())  # NonExpandable if irrational
-        rel = work._relative_budget(trunc)
-        cinv = lead.inverse()
-        shifted = PuiseuxSeries(
-            work.ram,
-            tuple((k - v, c * cinv) for k, c in work.coeffs),
-            None if work.prec is None else work.prec - v,
-        )
-        u = shifted - 1
-        half = PuiseuxSeries.scalar(ONE, work.ram)
-        if u.coeffs:
-            uv = u.coeffs[0][0]
-            term = PuiseuxSeries.scalar(ONE, work.ram)
-            coeff = Fraction(1)
-            steps = rel // uv + 1
-            for j in range(1, steps + 1):
-                coeff *= Fraction(3 - 2 * j, 2 * j)  # binom(1/2, j) update
-                term = (term * u).truncate_units(rel)
-                if not term.coeffs:
-                    break
-                half = half + term * grat(coeff)
-            out_prec = rel + v // 2
-        else:
-            out_prec = None if work.prec is None else work.prec - v // 2
-        mono = PuiseuxSeries._build({v // 2: root * grat(branch)}, work.ram, None)
-        return (half * mono).truncate_units(out_prec)
+        return work._binomial(_HALF, root * grat(branch), trunc)
 
     def pow(self, exponent, branch: int = 1, trunc: int = DEFAULT_TRUNCATION) -> "PuiseuxSeries":
         e = Fraction(exponent)
@@ -800,15 +767,15 @@ class PuiseuxSeries:
             n = int(e)
             if n < 0:
                 return self.inverse(trunc).pow(-n, trunc=trunc)
-            out = PuiseuxSeries.scalar(ONE, self.ram)
+            out = None
             base = self
             while n:
                 if n & 1:
-                    out = out * base
+                    out = base if out is None else out * base
                 n >>= 1
                 if n:
                     base = base * base
-            return out
+            return PuiseuxSeries.scalar(ONE, self.ram) if out is None else out
         if e.denominator == 2:
             return self.sqrt(branch=branch, trunc=trunc).pow(e.numerator, trunc=trunc)
         # general rational power: only exact monomials
@@ -858,7 +825,7 @@ class PuiseuxSeries:
         return hash((self.ram, self.coeffs, self.prec))
 
     def lift_to_at_least(self, ram: int) -> "PuiseuxSeries":
-        return self._lift(_lcm(self.ram, ram))
+        return self._lift(math.lcm(self.ram, ram))
 
 
 def _monomial_coeff_root(c: Radical, e: Fraction) -> Radical:
@@ -915,9 +882,6 @@ class _SeriesContext:
     def power(self, x, e, key):
         return x.pow(e, branch=self.branch.get(key, 1), trunc=self.trunc)
 
-    def sqrt(self, x, key):
-        return x.sqrt(branch=self.branch.get(key, 1), trunc=self.trunc)
-
 
 class _ScalarContext:
     def __init__(self, params, tval=None):
@@ -949,9 +913,6 @@ class _ScalarContext:
         rad = Radical.from_gaussian(x)
         root = _monomial_coeff_root(rad, e)
         return root.gaussian_value()
-
-    def sqrt(self, x, key):
-        return sqrt_gaussian(x).gaussian_value()
 
 
 def _to_mpmath(v):
@@ -991,9 +952,6 @@ class _NumericContext:
             return (self.branch.get(key, 1) * mpmath.sqrt(x)) ** e.numerator
         return mpmath.power(x, mpmath.mpf(e.numerator) / e.denominator)
 
-    def sqrt(self, x, key):
-        return self.branch.get(key, 1) * mpmath.sqrt(x)
-
 
 def _evaluate(e: TExpression, ctx):
     if isinstance(e, (TNum, TConst)):
@@ -1006,18 +964,12 @@ def _evaluate(e: TExpression, ctx):
         return ctx.symbol(e.name)
     if isinstance(e, TNeg):
         return -_evaluate(e.arg, ctx)
-    if isinstance(e, TAdd):
-        return _evaluate(e.left, ctx) + _evaluate(e.right, ctx)
-    if isinstance(e, TSub):
-        return _evaluate(e.left, ctx) - _evaluate(e.right, ctx)
-    if isinstance(e, TMul):
-        return _evaluate(e.left, ctx) * _evaluate(e.right, ctx)
-    if isinstance(e, TDiv):
-        return _evaluate(e.left, ctx) / _evaluate(e.right, ctx)
+    if type(e) in _BINARY:
+        return _BINARY[type(e)][1](_evaluate(e.left, ctx), _evaluate(e.right, ctx))
     if isinstance(e, TPow):
         return ctx.power(_evaluate(e.base, ctx), e.exponent, to_text(e.base))
     if isinstance(e, TSqrt):
-        return ctx.sqrt(_evaluate(e.arg, ctx), to_text(e.arg))
+        return ctx.power(_evaluate(e.arg, ctx), _HALF, to_text(e.arg))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -1044,7 +996,11 @@ def evaluate_scalar(expr, params=None, tval=None) -> GaussianRational:
     The expression must be t-free unless tval supplies a rational value
     for the deformation variable.
     """
-    return _evaluate(parse_expression(expr), _ScalarContext(params, tval))
+    e = parse_expression(expr)
+    try:
+        return _evaluate(e, _ScalarContext(params, tval))
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in {to_text(e)[:40]!r}") from None
 
 
 def evaluate_numeric(expr, tval, params=None, branch=None):

@@ -10,6 +10,7 @@ import pytest
 
 from zinbiel5.catalog import MAX_DIM
 from zinbiel5.cli import _form_text, _vector_text, main
+from zinbiel5.degeneration import MAX_PRECISION_BITS, MAX_TRUNCATION, MIN_PRECISION_BITS
 from zinbiel5.exactmath import ExactMatrix, GaussianRational
 
 
@@ -291,6 +292,8 @@ def _z04_z01_row():
         ("basis", 5, "basis must be a list of rows"),
         ("samples", [1], "samples must be a list of objects"),
         (None, [1], "expected a certificate object"),
+        ("row 5", ["0", "0", "0", "0", "1/0"], "division by zero in '1/0'"),
+        ("row 5", ["0", "0", "0", "0", "t^(1/0)"], "division by zero in 't^(1/0)'"),
     ],
 )
 def test_malformed_certificate_file_exits_2(capsys, tmp_path, key, value, message):
@@ -345,6 +348,8 @@ def test_rset_membership_and_separation(capsys, tmp_path):
         ({"relabel": [1, 1, 3, 4, 5]}, "relabel must be a permutation of 1..5"),
         ({"equations": "c113"}, "equations must be a list of strings"),
         ({"equations": ["c999"]}, "cannot evaluate an equation"),
+        ({"equations": ["c111/0"]}, "division by zero in '(c111/0)'"),
+        ({"equations": ["1/(c111)"]}, "division by zero in '(1/c111)'"),
     ],
 )
 def test_malformed_rset_file_exits_2(capsys, tmp_path, raw, message):
@@ -458,6 +463,35 @@ def test_zero_algebra_dim_out_of_range_exits_2(capsys, ref):
     assert code == 2
     assert out == ""
     assert err == f"error: zero algebra needs an integer dim in 1..{MAX_DIM}\n"
+
+
+@pytest.mark.parametrize("ref", ["Z_02^1/0", "Z_02^a=1/0"])
+def test_division_by_zero_in_parameter_exits_2(capsys, ref):
+    code, out, err = run(capsys, "identity", "--algebra", ref)
+    assert (code, out) == (2, "")
+    assert err == "error: division by zero in '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--truncation", v), f"truncation must be an integer in 1..{MAX_TRUNCATION}")
+        for v in ("0", "-1", str(MAX_TRUNCATION + 1))
+    ]
+    + [
+        (("--precision", v), "precision must be an integer in "
+         f"{MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} bits")
+        for v in ("0", "-1", str(MAX_PRECISION_BITS + 1))
+    ],
+)
+def test_truncation_and_precision_out_of_range_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "degenerate", "--label", "Z_27 -> Z_28", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    if argv[0] == "--truncation":
+        code, out, err = run(
+            capsys, "catalog", "verify-all", "--checks", "degenerations", *argv
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_excluded_family_value_exits_2(capsys):

@@ -77,6 +77,8 @@ def test_parse_power_forms():
     assert parse_expression("t^2") == parse_expression("t**2")
     assert parse_expression("t^(1/2)").exponent == F(1, 2)
     assert parse_expression("t^-1").exponent == F(-1)
+    # a t-free exponent is folded by the scalar evaluator
+    assert parse_expression("t^(4^(1/2))") == parse_expression("t^2")
 
 
 def test_parse_rejects_garbage():
@@ -84,8 +86,12 @@ def test_parse_rejects_garbage():
         parse_expression("t +* 2")
     with pytest.raises(ValueError):
         parse_expression("sqrt 4")
-    with pytest.raises(ValueError):
-        parse_expression("t^a")
+    for text in ("t^a", "t^t", "t^i", "t^(2^(1/3))"):
+        with pytest.raises(ValueError, match="exponent is not a rational constant"):
+            parse_expression(text)
+    for text in ("1/0", "t^(1/0)", "t^(1/(1-1))"):
+        with pytest.raises(ValueError, match="division by zero"):
+            parse_expression(text)
 
 
 def test_ramification_inference():
@@ -219,6 +225,51 @@ def test_branch_flip():
     assert minus == expand_series("-t")
 
 
+def _series(ram, prec, terms):
+    """The series sum c t^e over terms {e: c}, known modulo t^(prec/ram)."""
+    return PuiseuxSeries(
+        ram, tuple(sorted((int(F(e) * ram), rad(c)) for e, c in terms.items())), prec
+    )
+
+
+_4T2 = _series(1, None, {2: 4})
+_4T2_O5 = _series(1, 5, {2: 4})
+_1_PLUS_T = _series(1, None, {0: 1, 1: 1})
+_4T2_4T3_O5 = _series(1, 5, {2: 4, 3: 4})
+_T_PLUS_T2 = _series(1, None, {1: 1, 2: 1})
+_4T_O4 = _series(1, 4, {1: 4})
+
+
+@pytest.mark.parametrize(
+    "x, op, expected",
+    [
+        # u = 0: a monomial stays exact, or keeps its relative precision
+        (_4T2, "inverse", _series(1, None, {-2: F(1, 4)})),
+        (_4T2, "sqrt", _series(1, None, {1: 2})),
+        (_4T2_O5, "inverse", _series(1, 1, {-2: F(1, 4)})),
+        (_4T2_O5, "sqrt", _series(1, 4, {1: 2})),
+        # u != 0, exact input: the budget is trunc relative orders
+        (_1_PLUS_T, "inverse", _series(1, 4, {0: 1, 1: -1, 2: 1, 3: -1})),
+        (_1_PLUS_T, "sqrt", _series(1, 4, {0: 1, 1: F(1, 2), 2: F(-1, 8), 3: F(1, 16)})),
+        # u != 0, truncated input: the budget is the known relative span
+        (_4T2_4T3_O5, "inverse", _series(1, 1, {-2: F(1, 4), -1: F(-1, 4), 0: F(1, 4)})),
+        (_4T2_4T3_O5, "sqrt", _series(1, 4, {1: 2, 2: 1, 3: F(-1, 4)})),
+        # odd valuation under sqrt lifts the ramification to 2
+        (
+            _T_PLUS_T2,
+            "sqrt",
+            _series(2, 9, {F(1, 2): 1, F(3, 2): F(1, 2), F(5, 2): F(-1, 8), F(7, 2): F(1, 16)}),
+        ),
+        (_T_PLUS_T2, "inverse", _series(1, 3, {-1: 1, 0: -1, 1: 1, 2: -1})),
+        (_4T_O4, "sqrt", _series(2, 7, {F(1, 2): 2})),
+    ],
+)
+def test_inverse_and_sqrt_precision(x, op, expected):
+    out = getattr(x, op)(trunc=4)
+    assert out == expected
+    assert (out.ram, out.prec) == (expected.ram, expected.prec)
+
+
 def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         expand_series("1/(t-t)")
@@ -248,6 +299,8 @@ def test_scalar_evaluation():
         evaluate_scalar("sqrt(5)")
     with pytest.raises(NonExpandable):
         evaluate_scalar("t")
+    with pytest.raises(ValueError, match=r"division by zero in '\(1/\(a-a\)\)'"):
+        evaluate_scalar("1/(a-a)", {"a": a})
 
 
 def test_numeric_evaluation_matches_series():
