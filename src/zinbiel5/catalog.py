@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .cohomology import (
     CocycleForm,
+    WellformedReport,
     central_extension,
     delta_form,
     extension_wellformed,
@@ -35,7 +36,7 @@ from .degeneration import (
     DegenerationCertificate,
     FamilyTensor,
     RSet,
-    _resolve_target,
+    _bound_samples,
     necessary_conditions,
     rset_membership,
     verify_certificate,
@@ -47,6 +48,7 @@ __all__ = [
     "CatalogError",
     "CatalogEntry",
     "ExtensionRecord",
+    "ExtensionCheck",
     "H2Table",
     "RSetRow",
     "SuiteConfig",
@@ -62,13 +64,16 @@ __all__ = [
     "entry_to_json",
     "entry_from_json",
     "extension_records",
+    "check_extension",
     "h2_tables",
     "certificates",
     "certificate_from_dict",
     "rset_rows",
     "rset_from_dict",
+    "check_rset_row",
     "expected",
     "family_samples",
+    "family_members",
     "verify_all",
     "SPEC_SAMPLES",
     "MAX_DIM",
@@ -345,12 +350,62 @@ def extension_records() -> tuple:
     return tuple(out)
 
 
+def _bound_form(dim: int, components, binding=None) -> CocycleForm:
+    """A form from ((i, j, coeff-string), …) components, symbols bound."""
+    bound = {k: _coerce_param(v) for k, v in dict(binding or {}).items()}
+    return delta_form(dim, *(
+        [(i, j, evaluate_scalar(c, bound)) for (i, j, c) in comp]
+        for comp in components
+    ))
+
+
 def record_form(rec: ExtensionRecord, binding=None) -> CocycleForm:
     """The record's cocycle as a one-component form over the parent."""
-    n = entry(rec.parent).dim
-    bound = {k: _coerce_param(v) for k, v in dict(binding or {}).items()}
-    comp = [(i, j, evaluate_scalar(c, bound)) for (i, j, c) in rec.cocycle]
-    return delta_form(n, comp)
+    return _bound_form(entry(rec.parent).dim, (rec.cocycle,), binding)
+
+
+@dataclass(frozen=True)
+class ExtensionCheck:
+    """An extension record bound at one child binding, and checked.
+
+    ``built`` and ``wellformed`` are None when the form is not a cocycle.
+    """
+
+    parent: Algebra
+    form: CocycleForm
+    is_cocycle: bool
+    built: Algebra | None
+    child: Algebra
+    wellformed: WellformedReport | None
+
+    @property
+    def matches(self) -> bool:
+        return self.built == self.child
+
+
+def check_extension(rec: ExtensionRecord, binding=None, tensor=instantiate) -> ExtensionCheck:
+    """Bind a record at a child binding, build its extension, compare it.
+
+    The parent parameter is ``rec.parent_param`` evaluated at the binding.
+    ``tensor(eid, binding)`` supplies the catalog algebras.
+    """
+    binding = dict(binding or {})
+    parent_binding = None
+    if rec.parent_param is not None:
+        scalars = {k: _coerce_param(v) for k, v in binding.items()}
+        psym = entry(rec.parent).symbols[0]
+        parent_binding = {psym: evaluate_scalar(rec.parent_param, scalars)}
+    parent = tensor(rec.parent, parent_binding)
+    form = record_form(rec, binding)
+    ok = is_cocycle(parent, form.mats[0])
+    return ExtensionCheck(
+        parent=parent,
+        form=form,
+        is_cocycle=ok,
+        built=central_extension(parent, form) if ok else None,
+        child=tensor(rec.child, binding or None),
+        wellformed=extension_wellformed(parent, form) if ok else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +586,26 @@ def rset_rows() -> tuple:
     return tuple(rset_from_dict(raw) for raw in _load("nondegenerations")["rows"])
 
 
+def check_rset_row(row: RSetRow, tensor=instantiate) -> tuple:
+    """Test every sampled member of a row's source and targets.
+
+    Returns (role, algebra, member, witness) tuples, sources first.  A
+    target is tested against the set without its relabelling.  The row
+    holds when every source is a member and no target is.
+    """
+    plain = replace(row.rset, relabel=None)
+    out = [
+        ("source", A, *rset_membership(A, row.rset))
+        for A in family_members(row.source, tensor)
+    ]
+    out += [
+        ("target", B, *rset_membership(B, plain))
+        for tid in row.targets
+        for B in family_members(tid, tensor)
+    ]
+    return tuple(out)
+
+
 @lru_cache(maxsize=1)
 def expected() -> dict:
     return _load("expected")
@@ -541,7 +616,7 @@ def expected() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def family_samples(eid: str, values=SPEC_SAMPLES) -> tuple:
+def family_samples(eid: str) -> tuple:
     """Deterministic parameter bindings for suite checks on a family."""
     e = entry(eid)
     if not e.is_parametric:
@@ -553,19 +628,21 @@ def family_samples(eid: str, values=SPEC_SAMPLES) -> tuple:
         }
         return tuple(
             {sym: v}
-            for v in values
+            for v in SPEC_SAMPLES
             if str(evaluate_scalar(v)) not in excluded
         )
     # multi-parameter families: cycle the sample list across the symbols,
     # once starting at 0 and once starting at 2 — deterministic and generic
-    picks = []
-    for offset in (0, 2):
-        binding = {
-            s: values[(offset + idx) % len(values)]
-            for idx, s in enumerate(e.symbols)
-        }
-        picks.append(binding)
-    return tuple(picks)
+    n = len(SPEC_SAMPLES)
+    return tuple(
+        {s: SPEC_SAMPLES[(offset + idx) % n] for idx, s in enumerate(e.symbols)}
+        for offset in (0, 2)
+    )
+
+
+def family_members(eid: str, tensor=instantiate) -> tuple:
+    """The entry's algebra at each of its sample bindings."""
+    return tuple(tensor(eid, b) for b in family_samples(eid))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +668,6 @@ class SuiteConfig:
     checks: tuple = ()  # empty = all, in canonical order
     mode: str = "auto"  # certificate verification tier
     trunc: int = 16
-    samples: tuple = SPEC_SAMPLES
     overrides: tuple = ()  # ((id, Algebra), …) test seam for mutation checks
 
 
@@ -661,11 +737,6 @@ class _Suite:
             return self.overrides[eid]
         return instantiate(eid, binding)
 
-    def sampled(self, eid: str):
-        """(binding, algebra) pairs across the entry's sample set."""
-        for binding in family_samples(eid, self.config.samples):
-            yield binding, self.tensor(eid, binding)
-
     # -- individual checks -------------------------------------------------
 
     def check_identity(self) -> CheckResult:
@@ -673,7 +744,7 @@ class _Suite:
         count = 0
         for e in all_entries():
             kind = "symmetric-zinbiel" if "symmetric" in e.tags else "zinbiel"
-            for binding, alg in self.sampled(e.id):
+            for alg in family_members(e.id, self.tensor):
                 count += 1
                 rep = check_identity(alg, kind)
                 if not rep.ok:
@@ -699,12 +770,10 @@ class _Suite:
         if table.param is not None:
             return ({sym: table.param},)
         excluded = {str(evaluate_scalar(x)) for x in table.exclude}
-        out = []
-        for binding in family_samples(table.algebra, self.config.samples):
-            if str(evaluate_scalar(binding[sym])) in excluded:
-                continue
-            out.append(binding)
-        return tuple(out)
+        return tuple(
+            b for b in family_samples(table.algebra)
+            if str(evaluate_scalar(b[sym])) not in excluded
+        )
 
     def check_h2(self) -> CheckResult:
         from .cohomology import _vec  # canonical vectorization
@@ -712,10 +781,8 @@ class _Suite:
         bad, info = [], []
         for table in h2_tables():
             want = table.computed_dim or table.dim
-            for binding, alg in (
-                (b, self.tensor(table.algebra, b))
-                for b in self._h2_bindings(table)
-            ):
+            for binding in self._h2_bindings(table):
+                alg = self.tensor(table.algebra, binding)
                 basis = h2(alg)
                 tag = alg.label
                 if basis.h2_dim != want:
@@ -723,19 +790,8 @@ class _Suite:
                         f"{tag}: dim H2 = {basis.h2_dim}, table says {want}"
                     )
                     continue
-                scalars = {k: _coerce_param(v) for k, v in binding.items()}
-
-                def build(gens):
-                    mats = []
-                    for gen in gens:
-                        comp = [
-                            (i, j, evaluate_scalar(c, scalars))
-                            for (i, j, c) in gen
-                        ]
-                        mats.append(delta_form(alg.dim, comp).mats[0])
-                    return mats
-
-                mats = build(table.generators) + build(table.completion)
+                gens = table.generators + table.completion
+                mats = _bound_form(alg.dim, gens, binding).mats
                 non_cocycle = [
                     idx + 1 for idx, m in enumerate(mats)
                     if not is_cocycle(alg, m)
@@ -757,37 +813,21 @@ class _Suite:
         info.append(f"{len(h2_tables())} table rows checked")
         return CheckResult("h2", not bad, tuple(bad), tuple(info))
 
-    def _record_bindings(self, rec: ExtensionRecord):
-        if rec.child_param is None:
-            return ({},)
-        return family_samples(rec.child, self.config.samples)
-
     def check_extensions(self) -> CheckResult:
         flagged = set(
             expected()["annihilator_dims"]["computed_exceptions"]
         )
         bad, info = [], []
         for rec in extension_records():
-            for binding in self._record_bindings(rec):
-                parent_binding = {}
-                if rec.parent_param is not None:
-                    psym = entry(rec.parent).symbols[0]
-                    parent_binding = {
-                        psym: evaluate_scalar(
-                            rec.parent_param,
-                            {k: _coerce_param(v) for k, v in binding.items()},
-                        )
-                    }
-                parent = self.tensor(rec.parent, parent_binding or None)
-                form = record_form(rec, binding)
+            for binding in family_samples(rec.child):
+                x = check_extension(rec, binding, self.tensor)
                 tag = f"{rec.child} from {rec.parent}"
                 if binding:
                     tag += f" at {sorted(binding.items())}"
-                if not is_cocycle(parent, form.mats[0]):
+                if not x.is_cocycle:
                     bad.append(f"{tag}: cocycle condition fails")
                     continue
-                built = central_extension(parent, form)
-                target = self.tensor(rec.child, binding or None)
+                built, target = x.built, x.child
                 if built != target:
                     where = next(
                         (
@@ -809,7 +849,7 @@ class _Suite:
                     else:
                         bad.append(f"{tag}: dimension mismatch")
                     continue
-                rep = extension_wellformed(parent, form)
+                rep = x.wellformed
                 if not rep.classes_independent:
                     bad.append(f"{tag}: cocycle class is a coboundary")
                 if not rep.ann_decomposition_ok:
@@ -838,7 +878,7 @@ class _Suite:
             else:
                 continue
             want = exc.get(e.id, claimed)
-            for binding, alg in self.sampled(e.id):
+            for alg in family_members(e.id, self.tensor):
                 got = len(annihilator(alg))
                 if want is None:
                     # 2-step families: annihilator contains the derived
@@ -887,10 +927,7 @@ class _Suite:
 
     def _member_pair(self, cert: DegenerationCertificate):
         """A concrete (source, target) pair realizing the certificate."""
-        sample = dict(cert.samples[0]) if cert.samples else {}
-        scalar = {k: _coerce_param(v) for k, v in sample.items()}
-        for name, expr in cert.source_params:
-            scalar[name] = evaluate_scalar(expr, scalar)
+        scalar, target = next(_bound_samples(cert))
         src_entry = entry(cert.source)
         binding = {}
         if src_entry.is_parametric:
@@ -905,11 +942,6 @@ class _Suite:
             else:
                 raise CatalogError(f"{cert.label}: unbound source parameter")
         source = instantiate(cert.source, binding or None)
-        tparams = {
-            name: evaluate_scalar(expr, scalar)
-            for name, expr in cert.target_params
-        }
-        target = _resolve_target(cert.target, tparams, cert.target_pad)
         family_indexed = (
             src_entry.is_parametric and cert.source_index is not None
             and src_entry.symbols[0] not in {k for k, _ in cert.source_params}
@@ -952,21 +984,16 @@ class _Suite:
     def check_rsets(self) -> CheckResult:
         bad, info = [], []
         for row in rset_rows():
-            for binding, src in self.sampled(row.source):
-                member, witness = rset_membership(src, row.rset)
-                if not member:
+            for role, alg, member, witness in check_rset_row(row, self.tensor):
+                if role == "source" and not member:
                     bad.append(
-                        f"{src.label} leaves its own constraint set: {witness}"
+                        f"{alg.label} leaves its own constraint set: {witness}"
                     )
-            plain = replace(row.rset, relabel=None)
-            for tid in row.targets:
-                for binding, tgt in self.sampled(tid):
-                    member, _ = rset_membership(tgt, plain)
-                    if member:
-                        bad.append(
-                            f"{tgt.label} satisfies the {row.source} "
-                            f"constraint set; separation fails"
-                        )
+                elif role == "target" and member:
+                    bad.append(
+                        f"{alg.label} satisfies the {row.source} "
+                        f"constraint set; separation fails"
+                    )
         info.append(f"{len(rset_rows())} constraint rows checked")
         return CheckResult("rsets", not bad, tuple(bad), tuple(info))
 
@@ -991,11 +1018,10 @@ class _Suite:
             if entry(eid).is_parametric
         }
         for eid, want in family_rows.items():
-            members = []
-            for binding, alg in self.sampled(eid):
-                members.append(
-                    alg.dim * alg.dim - derivation_dimension(alg)
-                )
+            members = [
+                alg.dim * alg.dim - derivation_dimension(alg)
+                for alg in family_members(eid, self.tensor)
+            ]
             # Sampled members may include special (non-generic) points of
             # the family, so take the generic orbit dimension to be the
             # maximum, and require the closure dimension to fit between
@@ -1020,7 +1046,7 @@ class _Suite:
     def check_squares(self) -> CheckResult:
         bad, info = [], []
         for eid, want in expected()["square_dims"].items():
-            for binding, alg in self.sampled(eid):
+            for alg in family_members(eid, self.tensor):
                 dims = power_filtration(alg).dims
                 got = dims[1] if len(dims) > 1 else 0
                 if got != want:
@@ -1038,7 +1064,7 @@ class _Suite:
         for e in all_entries():
             if e.dim != 5 or "theoremA" not in e.tags:
                 continue
-            for binding, alg in self.sampled(e.id):
+            for alg in family_members(e.id, self.tensor):
                 exact = fingerprint(alg, method="exact")
                 modular = fingerprint(alg, method="modular")
                 if exact.as_tuple() != modular.as_tuple():

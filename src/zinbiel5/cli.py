@@ -31,20 +31,22 @@ from .catalog import (
     _file_scalar,
     _rset_from_json,
     certificate_from_dict,
+    certificates,
+    check_extension,
+    check_rset_row,
     entry,
     entry_to_json,
     extension_records,
     get,
     list_ids,
     parse_ref,
-    record_form,
     rset_rows,
     verify_all,
 )
-from .cohomology import central_extension, delta_form, extension_wellformed, h2, is_cocycle
+from .cohomology import central_extension, delta_form, extension_wellformed, h2
 from .degeneration import rset_membership, verify_certificate
 from .exactmath import ExactMatrix, grat
-from .series import NonExpandable, evaluate_scalar
+from .series import NonExpandable
 
 PASS_VERDICTS = ("pass", "verified")
 
@@ -138,18 +140,22 @@ def _algebra_from_file(path: str) -> Algebra:
     return algebra_from_entries(dim, entries, label=label)
 
 
+def _catalog_algebra(args) -> Algebra:
+    """The algebra named by --algebra (with --dim for the zero algebra)."""
+    eid, params = parse_ref(args.algebra)
+    if getattr(args, "dim", None):
+        if eid != "zero":
+            raise CatalogError("--dim only applies to the zero algebra")
+        params = {"dim": args.dim, **params}
+    return get(eid, params or None)
+
+
 def _resolve_algebra(args) -> Algebra:
     if getattr(args, "file", None):
         return _algebra_from_file(args.file)
     if not getattr(args, "algebra", None):
         raise CatalogError("an algebra is required: pass --algebra or --file")
-    eid, params = parse_ref(args.algebra)
-    if eid == "zero" and getattr(args, "dim", None):
-        params = dict(params)
-        params.setdefault("dim", args.dim)
-    elif getattr(args, "dim", None):
-        raise CatalogError("--dim only applies to the zero algebra")
-    return get(eid, params or None)
+    return _catalog_algebra(args)
 
 
 def _matrix_from_rows(path: str, rows) -> ExactMatrix:
@@ -296,97 +302,59 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    # central_extension rejects a form that is not a cocycle (exit 2), so a
+    # rendered report always has a cocycle
     if args.child:
-        return _extend_from_catalog(args)
-    if not args.algebra or not args.file:
+        eid, binding = parse_ref(args.child)
+        rec = next((r for r in extension_records() if r.child == eid), None)
+        if rec is None:
+            raise CatalogError(f"no extension record with child {eid}")
+        if rec.child_param is not None and not binding:
+            raise CatalogError(f"{eid} is a family; bind its parameter, e.g. {eid}^1")
+        x = check_extension(rec, binding)
+        if not x.is_cocycle:
+            raise ValueError("component is not a cocycle")
+        parent, form, wf = x.parent, x.form, x.wellformed
+        verdict = "pass" if wf.ok and x.matches else "fail"
+        extra = {"child": x.child.label, "matches_catalog": x.matches}
+        head = [
+            f"{x.child.label} as a central extension of {parent.label}: {verdict}",
+            "cocycle: " + ", ".join(_form_text(m) for m in form.mats),
+        ]
+        tail = [f"matches catalog constants: {x.matches}"]
+    elif args.algebra and args.file:
+        parent = _catalog_algebra(args)
+        comps = _cocycle_components(args.file, _load_json(args.file), parent.dim)
+        form = delta_form(parent.dim, *comps)
+        wf = extension_wellformed(parent, form)
+        built = central_extension(parent, form, label=f"{parent.label} extension")
+        verdict = "pass" if wf.ok else "fail"
+        extra = {"extension": {"dim": built.dim, "entries": _entries_payload(built)}}
+        forms = ", ".join(_form_text(m) for m in form.mats)
+        head = [f"central extension of {parent.label} by {forms}: {verdict}"]
+        tail = _entries_text(built)
+    else:
         raise CatalogError(
             "extend needs either --child <id> or --algebra <parent> with "
             "--file <cocycle.json>"
         )
-    eid, params = parse_ref(args.algebra)
-    if eid == "zero" and getattr(args, "dim", None):
-        params = dict(params)
-        params.setdefault("dim", args.dim)
-    parent = get(eid, params or None)
-    comps = _cocycle_components(args.file, _load_json(args.file), parent.dim)
-    form = delta_form(parent.dim, *comps)
-    ok_cocycle = all(is_cocycle(parent, m) for m in form.mats)
-    wf = extension_wellformed(parent, form)
-    built = central_extension(parent, form, label=f"{parent.label} extension")
-    verdict = "pass" if ok_cocycle and wf.ok else "fail"
     payload = {
         "command": "extend",
         "parent": parent.label,
         "cocycle": [_form_text(m) for m in form.mats],
-        "is_cocycle": ok_cocycle,
+        "is_cocycle": True,
         "ann_intersection_trivial": wf.ann_intersection_trivial,
         "classes_independent": wf.classes_independent,
         "ann_decomposition_ok": wf.ann_decomposition_ok,
-        "extension": {"dim": built.dim, "entries": _entries_payload(built)},
         "verdict": verdict,
+        **extra,
     }
-    lines = [
-        f"central extension of {parent.label} by "
-        + ", ".join(_form_text(m) for m in form.mats)
-        + f": {verdict}",
-        f"cocycle condition: {'ok' if ok_cocycle else 'FAILS'}",
+    lines = head + [
+        "cocycle condition: ok",
         f"wellformed: intersection_trivial={wf.ann_intersection_trivial} "
         f"classes_independent={wf.classes_independent} "
         f"ann_decomposition={wf.ann_decomposition_ok}",
-    ]
-    lines += _entries_text(built)
-    return _emit(payload, lines, args.format)
-
-
-def _extend_from_catalog(args) -> int:
-    eid, params = parse_ref(args.child)
-    recs = [r for r in extension_records() if r.child == eid]
-    if not recs:
-        raise CatalogError(f"no extension record with child {eid}")
-    rec = recs[0]
-    binding = {k: str(v) for k, v in (params or {}).items()}
-    if rec.child_param is not None and not binding:
-        raise CatalogError(
-            f"{eid} is a family; bind its parameter, e.g. {eid}^1"
-        )
-    parent_binding = None
-    if rec.parent_param is not None:
-        psym = entry(rec.parent).symbols[0]
-        parent_binding = {
-            psym: evaluate_scalar(
-                rec.parent_param,
-                {k: evaluate_scalar(v) for k, v in binding.items()},
-            )
-        }
-    parent = get(rec.parent, parent_binding)
-    form = record_form(rec, binding)
-    ok_cocycle = all(is_cocycle(parent, m) for m in form.mats)
-    wf = extension_wellformed(parent, form)
-    built = central_extension(parent, form)
-    target = get(eid, binding or None)
-    matches = built == target
-    verdict = "pass" if ok_cocycle and wf.ok and matches else "fail"
-    payload = {
-        "command": "extend",
-        "child": target.label,
-        "parent": parent.label,
-        "cocycle": [_form_text(m) for m in form.mats],
-        "is_cocycle": ok_cocycle,
-        "ann_intersection_trivial": wf.ann_intersection_trivial,
-        "classes_independent": wf.classes_independent,
-        "ann_decomposition_ok": wf.ann_decomposition_ok,
-        "matches_catalog": matches,
-        "verdict": verdict,
-    }
-    lines = [
-        f"{target.label} as a central extension of {parent.label}: {verdict}",
-        "cocycle: " + ", ".join(_form_text(m) for m in form.mats),
-        f"cocycle condition: {'ok' if ok_cocycle else 'FAILS'}",
-        f"wellformed: intersection_trivial={wf.ann_intersection_trivial} "
-        f"classes_independent={wf.classes_independent} "
-        f"ann_decomposition={wf.ann_decomposition_ok}",
-        f"matches catalog constants: {matches}",
-    ]
+    ] + tail
     return _emit(payload, lines, args.format)
 
 
@@ -421,12 +389,9 @@ def _cmd_degenerate(args) -> int:
             raise CatalogError(f"{args.cert}: expected a certificate object")
         cert = certificate_from_dict(raw)
     elif args.label:
-        from .catalog import certificates
-
-        matches = [c for c in certificates() if c.label == args.label]
-        if not matches:
+        cert = next((c for c in certificates() if c.label == args.label), None)
+        if cert is None:
             raise CatalogError(f"no catalog certificate labelled {args.label!r}")
-        cert = matches[0]
     else:
         raise CatalogError("degenerate needs --cert <path> or --label <name>")
     report = verify_certificate(
@@ -478,8 +443,7 @@ def _cmd_rset(args) -> int:
         raise CatalogError(f"{args.file}: expected an object")
     if not args.algebra:
         raise CatalogError("rset membership needs --algebra")
-    eid, params = parse_ref(args.algebra)
-    A = get(eid, params or None)
+    A = _catalog_algebra(args)
     try:
         member, witness = rset_membership(A, _rset_from_json(raw, A.dim))
     except NonExpandable as exc:
@@ -498,32 +462,14 @@ def _cmd_rset(args) -> int:
 
 
 def _rset_row(args) -> int:
-    rows = [r for r in rset_rows() if r.source == args.row]
-    if not rows:
+    row = next((r for r in rset_rows() if r.source == args.row), None)
+    if row is None:
         raise CatalogError(f"no constraint row with source {args.row}")
-    from .catalog import SPEC_SAMPLES, family_samples
-    from dataclasses import replace as _replace
-
-    row = rows[0]
-    checks = []
-    ok = True
-
-    def sampled(eid):
-        e = entry(eid)
-        if not e.is_parametric:
-            return [get(eid)]
-        return [get(eid, b) for b in family_samples(eid, SPEC_SAMPLES)]
-
-    for A in sampled(row.source):
-        member, witness = rset_membership(A, row.rset)
-        checks.append({"algebra": A.label, "role": "source", "member": member})
-        ok = ok and member
-    plain = _replace(row.rset, relabel=None)
-    for tid in row.targets:
-        for B in sampled(tid):
-            member, witness = rset_membership(B, plain)
-            checks.append({"algebra": B.label, "role": "target", "member": member})
-            ok = ok and not member
+    checks = [
+        {"algebra": A.label, "role": role, "member": member}
+        for role, A, member, _ in check_rset_row(row)
+    ]
+    ok = all(c["member"] == (c["role"] == "source") for c in checks)
     payload = {
         "command": "rset",
         "source": row.source,
@@ -581,8 +527,7 @@ def _cmd_catalog(args) -> int:
     )
     report = verify_all(config)
     if args.format == "json":
-        payload = report.as_dict()
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(report.as_dict(), sort_keys=True, separators=(",", ":")))
     else:
         print(report.as_text())
     return 0 if report.ok else 1

@@ -316,15 +316,18 @@ def _resolve_target(target, params: Dict[str, GaussianRational], pad: int) -> Al
     return out
 
 
-def _sample_bindings(cert: DegenerationCertificate):
-    samples = cert.samples if cert.samples else ({},)
-    out = []
-    for raw in samples:
-        bound = {}
-        for name, expr in dict(raw).items():
-            bound[name] = evaluate_scalar(expr)
-        out.append(bound)
-    return out
+def _bound_samples(cert: DegenerationCertificate):
+    """Per sample: its scalar parameters and the target bound at them.
+
+    The parameters are the sample's values, then the certificate's source
+    bindings evaluated at them; the target bindings are evaluated at both.
+    """
+    for raw in cert.samples or ({},):
+        params = {name: evaluate_scalar(expr) for name, expr in dict(raw).items()}
+        for name, expr in cert.source_params:
+            params[name] = evaluate_scalar(expr, params)
+        tparams = {name: evaluate_scalar(expr, params) for name, expr in cert.target_params}
+        yield params, _resolve_target(cert.target, tparams, cert.target_pad)
 
 
 def _branch_assignments(keys):
@@ -487,15 +490,7 @@ def verify_certificate(
     keys = collect_sqrt_keys(branch_targets)
 
     results = []
-    for sample in _sample_bindings(cert):
-        scalar_params = dict(sample)
-        for name, expr in cert.source_params:
-            scalar_params[name] = evaluate_scalar(expr, scalar_params)
-        target_params = {
-            name: evaluate_scalar(expr, scalar_params)
-            for name, expr in cert.target_params
-        }
-        target = _resolve_target(cert.target, target_params, cert.target_pad)
+    for scalar_params, target in _bound_samples(cert):
         if target.dim != dim:
             raise ValueError(
                 f"target dimension {target.dim} != source dimension {dim}"

@@ -268,6 +268,10 @@ class TestSuite:
     def test_json_deterministic(self, suite_report):
         assert suite_report.as_json() == suite_report.as_json()
 
+    def test_json_matches_golden_report(self, suite_report):
+        golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+        assert suite_report.as_json() == (golden / "verify_all.json").read_text()
+
     def test_checks_subset_runs_in_order(self):
         rep = cat.verify_all(cat.SuiteConfig(checks=("squares", "identity")))
         assert tuple(c.name for c in rep.checks) == ("identity", "squares")

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from zinbiel5.catalog import MAX_DIM
+from zinbiel5.catalog import MAX_DIM, extension_records, family_samples, rset_rows
 from zinbiel5.cli import _form_text, _vector_text, main
 from zinbiel5.degeneration import MAX_PRECISION_BITS, MAX_TRUNCATION, MIN_PRECISION_BITS
 from zinbiel5.exactmath import ExactMatrix, GaussianRational
+from zinbiel5.series import MAX_DEGREE
 
 
 def run(capsys, *argv):
@@ -136,6 +138,24 @@ def test_extend_family_child_at_value(capsys):
     code, out, _ = run(capsys, "extend", "--child", "Z_30^2")
     assert code == 0
     assert "matches catalog constants: True" in out
+
+
+# children whose annihilator meets the cocycle's (flagged in the tables)
+FLAGGED_CHILDREN = ("Z_25", "Z_26", "Z_27", "Z_28", "Z_29")
+
+CHILD_REFS = [
+    (rec.child, rec.child + ("^" + ",".join(f"{k}={v}" for k, v in b.items()) if b else ""))
+    for rec in extension_records()
+    for b in family_samples(rec.child)
+]
+
+
+@pytest.mark.parametrize("child, ref", CHILD_REFS, ids=[ref for _, ref in CHILD_REFS])
+def test_extend_every_catalog_child(capsys, child, ref):
+    code, out, _ = run(capsys, "extend", "--child", ref, "--format", "json")
+    payload = json.loads(out)
+    assert payload["is_cocycle"] is True and payload["matches_catalog"] is True
+    assert code == (1 if child in FLAGGED_CHILDREN else 0)
 
 
 def test_extend_explicit_cocycle(capsys, tmp_path):
@@ -373,6 +393,39 @@ def test_rset_catalog_row(capsys):
     code, out, _ = run(capsys, "rset", "--row", "Z_14")
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("source", [row.source for row in rset_rows()])
+def test_rset_every_catalog_row(capsys, source):
+    code, out, _ = run(capsys, "rset", "--row", source)
+    assert code == 0, out
+
+
+# powers whose value would take seconds to minutes to compute
+POWER_PROBES = [
+    ("degenerate", "(1+t)^5000"),
+    ("degenerate", "((1+t)^64)^64"),
+    ("rset", "2^(2^30)"),
+    ("rset", "(((10^64)^64)^64)^64"),
+]
+
+
+@pytest.mark.parametrize("command, expr", POWER_PROBES)
+def test_power_beyond_bound_exits_2_in_under_2_s(capsys, tmp_path, command, expr):
+    path = tmp_path / "input.json"
+    if command == "degenerate":
+        cert = _z04_z01_row()
+        cert["basis"][4] = ["0", "0", "0", "0", expr]
+        path.write_text(json.dumps(cert))
+        argv = ("degenerate", "--cert", str(path))
+    else:
+        path.write_text(json.dumps({"equations": [expr]}))
+        argv = ("rset", "--algebra", "Z_27", "--file", str(path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == f"error: power too large in {expr!r}: degree above {MAX_DEGREE}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from zinbiel5.exactmath import GaussianRational, grat
 from zinbiel5.series import (
+    MAX_DEGREE,
     NonExpandable,
     PuiseuxSeries,
     Radical,
@@ -91,6 +92,30 @@ def test_parse_rejects_garbage():
             parse_expression(text)
     for text in ("1/0", "t^(1/0)", "t^(1/(1-1))"):
         with pytest.raises(ValueError, match="division by zero"):
+            parse_expression(text)
+
+
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        ("t^64", True),
+        ("(1+t)^-64", True),
+        ("t^32*t^32", True),
+        ("(t^8)^8", True),
+        ("t^65", False),
+        ("t^33*t^32", False),
+        ("(t^8)^9", False),
+        ("(2*t)^33", False),
+        ("t^(2^(2^30))", False),
+    ],
+)
+def test_parse_bounds_the_degree(text, ok):
+    # powers multiply the degree and products add it, so nested or chained
+    # powers cannot build an unbounded value
+    if ok:
+        parse_expression(text)
+    else:
+        with pytest.raises(ValueError, match=f"power too large.*degree above {MAX_DEGREE}"):
             parse_expression(text)
 
 
