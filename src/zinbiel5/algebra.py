@@ -12,7 +12,7 @@ sides are divided back into Q(i).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -25,7 +25,6 @@ from .exactmath import (
     kernel_basis_sparse,
     nullity_mod_p,
     rank_sparse,
-    MODP_PRIMES,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "fingerprint",
     "direct_sum",
     "zero_algebra",
-    "span_dimension",
 ]
 
 
@@ -243,15 +241,7 @@ def annihilator(A: Algebra):
     return kernel_basis_sparse(_annihilator_rows(A), A.dim)
 
 
-def span_dimension(vectors) -> int:
-    """Dimension of the span of coordinate row vectors."""
-    vecs = [v for v in vectors if any(grat(x) for x in v)]
-    if not vecs:
-        return 0
-    return ExactMatrix(vecs).rank()
-
-
-def _span_basis(vectors, n):
+def _span_basis(vectors):
     if not vectors:
         return []
     red, piv = ExactMatrix(vectors).rref()
@@ -281,7 +271,7 @@ def power_filtration(A: Algebra) -> PowerFiltration:
                     re, im, d = _product(T, D, u, v)
                     if any(re) or any(im):
                         prods.append(_scaled(re, im, d))
-        new_basis = _span_basis(prods, n)
+        new_basis = _span_basis(prods)
         d = len(new_basis)
         if d == 0:
             dims.append(0)
@@ -342,19 +332,13 @@ def derivations(A: Algebra):
 
 
 def derivation_dimension(A: Algebra, method: str = "exact") -> int:
-    n = A.dim
-    rows = _derivation_rows(A)
+    return _nullity(_derivation_rows(A), A.dim * A.dim, method)
+
+
+def _nullity(rows, ncols: int, method: str) -> int:
+    """Nullity of a sparse system, exact or (method="modular") mod P."""
     if method == "modular":
-        return _modular_nullity(rows, n * n)
-    return n * n - rank_sparse(rows, n * n)
-
-
-def _modular_nullity(rows, ncols):
-    for p in MODP_PRIMES:
-        try:
-            return nullity_mod_p(rows, ncols, p)
-        except ZeroDivisionError:
-            continue
+        return nullity_mod_p(rows, ncols)
     return ncols - rank_sparse(rows, ncols)
 
 
@@ -429,9 +413,10 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
     """Isomorphism-invariant summary of an algebra.
 
     method="modular" computes the two large ranks (derivations, cocycles)
-    mod p; that path is Monte Carlo and meant for bulk screening only —
-    callers compare against an exact recomputation before trusting a
-    mismatch.
+    with :func:`~zinbiel5.exactmath.nullity_mod_p`, mod the one prime of
+    ``exactmath``, real and complex algebras alike; that path is Monte Carlo
+    and meant for bulk screening only — callers compare against an exact
+    recomputation before trusting a mismatch.
     """
     from .cohomology import _cocycle_rows, coboundary_dimension
 
@@ -445,11 +430,7 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
             pdims.append(pf.dims[-1])
     ann = len(annihilator(A))
     der = derivation_dimension(A, method=method)
-    crows = _cocycle_rows(A)
-    if method == "modular":
-        z2 = _modular_nullity(crows, n * n)
-    else:
-        z2 = n * n - rank_sparse(crows, n * n)
+    z2 = _nullity(_cocycle_rows(A), n * n, method)
     b2 = coboundary_dimension(A)
     return Fingerprint(n, tuple(pdims), ann, der, z2, z2 - b2)
 

@@ -9,7 +9,6 @@ are the images of the basis vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import (
     Algebra,
@@ -26,9 +25,9 @@ from .exactmath import (
     ZERO,
     ONE,
     ExactMatrix,
+    _sparse_rref,
     grat,
     kernel_basis_sparse,
-    rank_sparse,
 )
 
 __all__ = [
@@ -175,25 +174,34 @@ class CohomologyBasis:
         return len(self.reps)
 
 
+def _new_classes(b2, forms) -> list:
+    """Indices of the ``forms`` whose classes are new modulo B^2.
+
+    ``b2`` is a basis of B^2 and ``forms`` are n x n matrices.  Form k is
+    new when it is not in the span of B^2 and the forms before it.  These
+    are the pivot columns past B^2 in the RREF of the matrix whose columns
+    are [B^2 | forms]: the pivot columns of a matrix are exactly its greedily
+    chosen independent columns.
+    """
+    cols = [_vec(m) for m in (*b2, *forms)]
+    rows = (
+        {c: v[r] for c, v in enumerate(cols) if v[r]}
+        for r in range(len(cols[0]) if cols else 0)
+    )
+    k = len(b2)
+    return [c - k for c in sorted(_sparse_rref(rows)) if c >= k]
+
+
 def h2(A: Algebra) -> CohomologyBasis:
     """Z^2, B^2 and canonical representatives of H^2 = Z^2/B^2.
 
     Representatives are chosen greedily from the RREF-canonical Z^2 basis,
-    keeping those that enlarge the span of B^2 — deterministic for a given
-    structure tensor.
+    keeping those that enlarge the span of B^2 and the earlier ones
+    (:func:`_new_classes`) — deterministic for a given structure tensor.
     """
     z2 = cocycle_space(A)
     b2 = coboundary_space(A)
-    working = [_vec(m) for m in b2]
-    rank = len(working)
-    reps = []
-    for z in z2:
-        trial = working + [_vec(z)]
-        r = ExactMatrix(trial).rank()
-        if r > rank:
-            rank = r
-            working = trial
-            reps.append(z)
+    reps = [z2[k] for k in _new_classes(b2, z2)]
     return CohomologyBasis(tuple(z2), tuple(b2), tuple(reps))
 
 
@@ -242,15 +250,7 @@ def aut_action(form: CocycleForm, phi: ExactMatrix) -> CocycleForm:
 
 def cohomologous(A: Algebra, m1: ExactMatrix, m2: ExactMatrix) -> bool:
     """Do two single-component cocycles differ by a coboundary?"""
-    b2 = [_vec(m) for m in coboundary_space(A)]
-    diff = _vec(m1 - m2)
-    if not any(diff):
-        return True
-    if not b2:
-        return False
-    before = ExactMatrix(b2).rank()
-    after = ExactMatrix(b2 + [diff]).rank()
-    return after == before
+    return not _new_classes(coboundary_space(A), [m1 - m2])
 
 
 @dataclass(frozen=True)
@@ -283,9 +283,7 @@ def extension_wellformed(A: Algebra, form: CocycleForm) -> WellformedReport:
     inter = kernel_basis_sparse(_form_annihilator_rows(form) + _annihilator_rows(A), n)
     inter_dim = len(inter)
 
-    b2 = [_vec(m) for m in coboundary_space(A)]
-    vecs = b2 + [_vec(m) for m in form.mats]
-    independent = ExactMatrix(vecs).rank() == len(b2) + s if vecs else s == 0
+    independent = len(_new_classes(coboundary_space(A), form.mats)) == s
 
     ext = central_extension(A, form)
     ann_ext = annihilator(ext)

@@ -6,22 +6,26 @@ coefficients) runs on :class:`GaussianRational`, a pair of
 case of every catalog structure constant) take a real-only branch that costs
 one ``Fraction`` operation.
 
-One eliminator, :func:`_sparse_rref`, row-reduces every linear system: the
-dense ``ExactMatrix`` methods, the sparse derivation/cocycle systems
-(:func:`rank_sparse`, :func:`kernel_basis_sparse`) and, with entries reduced
-mod a prime, the Monte-Carlo rank :func:`nullity_mod_p`.  The mod-p path can
-only *underestimate* rank; its one caller in the suite, the ``fingerprints``
-check, cross-checks it against the exact path.  ``ExactMatrix.det`` keeps its
-own elimination as an independent oracle for rank.
+One eliminator, :func:`_rref_loop`, row-reduces every linear system over
+Q(i) or GF(P): the dense ``ExactMatrix`` methods and the sparse
+derivation/cocycle systems (:func:`rank_sparse`, :func:`kernel_basis_sparse`)
+through :func:`_sparse_rref`, and both modular paths.  ``ExactMatrix.det``
+keeps its own elimination as an independent oracle for rank.
 
-A Q(i) system with a non-real entry is not eliminated in ``Fraction``
-arithmetic first: :func:`_certified_rref` clears it to Gaussian integers,
-eliminates mod a 127-bit prime P under both embeddings of i, rebuilds the
-RREF by rational reconstruction and proves it exactly over Z[i] (a kernel
-check plus the mod-P rank bound), so its answer is exact, not Monte Carlo.
-It trusts only P's primality (a Proth certificate, tested) and that check;
-when anything fails it logs the reason at DEBUG on ``zinbiel5.exactmath``
-and the ``Fraction`` loop runs instead.  Real systems always take the loop.
+One prime serves both modular paths: the 127-bit Proth prime P, with i
+mapped to a square root s of -1.  Rows are cleared to Gaussian integers
+first, so no denominator is ever inverted mod P.  A Q(i) system with a
+non-real entry is not eliminated in ``Fraction`` arithmetic first:
+:func:`_certified_rref` eliminates it mod P under both embeddings i -> ±s,
+rebuilds the RREF by rational reconstruction and proves it exactly over
+Z[i] (a kernel check plus the mod-P rank bound), so its answer is exact, not
+Monte Carlo.  It trusts only P's primality (a Proth certificate, tested) and
+that check; when anything fails it logs the reason at DEBUG on
+``zinbiel5.exactmath`` and the ``Fraction`` loop runs instead.  Real systems
+always take the loop.  The Monte-Carlo rank :func:`nullity_mod_p` is the
+first of those two eliminations alone, unproved: it can only *underestimate*
+rank, and its one caller in the suite, the ``fingerprints`` check,
+cross-checks it against the exact path.
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ __all__ = [
     "kernel_basis_sparse",
     "rank_sparse",
     "nullity_mod_p",
-    "MODP_PRIMES",
 ]
 
 # Both constructors (``GaussianRational()`` and ``_make``) store a zero
@@ -467,28 +470,26 @@ def _reduce_against(row: dict, pivots: dict, p=None) -> dict:
     return row
 
 
-def _sparse_rref(rows, p=None):
-    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict.
+def _sparse_rref(rows):
+    """Online RREF of sparse Q(i) rows.  Returns dict pivot_col -> row dict.
 
-    Entries are GaussianRationals, or ints in [0, p) for a prime ``p``.
     Each pivot row is normalized (1 at its pivot, its least column) and
-    kept zero in every other pivot column.  A Q(i) system with a non-real
-    entry is first tried on the certified modular path
-    (:func:`_certified_rref`); :func:`_rref_loop` is its fallback and the
-    path of every other system.
+    kept zero in every other pivot column.  A system with a non-real entry
+    is first tried on the certified modular path (:func:`_certified_rref`);
+    :func:`_rref_loop` is its fallback and the path of every other system.
     """
-    if p is None:
-        rows = list(rows)
-        if any(v.im is not _F0 for row in rows for v in row.values()):
-            try:
-                return _certified_rref(rows)
-            except _Uncertified as exc:
-                _log_fallback(exc)
-    return _rref_loop(rows, p)
+    rows = list(rows)
+    if any(v.im is not _F0 for row in rows for v in row.values()):
+        try:
+            return _certified_rref(rows)
+        except _Uncertified as exc:
+            _log_fallback(exc)
+    return _rref_loop(rows)
 
 
 def _rref_loop(rows, p=None):
-    """The row-by-row elimination behind :func:`_sparse_rref`."""
+    """The row-by-row elimination behind :func:`_sparse_rref`: entries are
+    GaussianRationals, or ints in [0, p) for a prime ``p``."""
     pivots: dict[int, dict] = {}
     for row in rows:
         red = _reduce_against(row, pivots, p)
@@ -675,43 +676,21 @@ def kernel_basis_sparse(rows, ncols: int):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo mod-p rank (exact fallback is the caller's job)
+# Monte-Carlo rank mod P (exact fallback is the caller's job)
 # ---------------------------------------------------------------------------
 
-# NTT-style primes, all = 1 mod 4 so that i has a square root mod p.
-MODP_PRIMES = (2013265921, 998244353, 469762049)
 
+def nullity_mod_p(rows, ncols: int) -> int:
+    """Nullity of the system reduced mod the prime P of the certified path.
 
-def _sqrt_minus_one(p: int) -> int:
-    for a in range(2, 100):
-        r = pow(a, (p - 1) // 4, p)
-        if r * r % p == p - 1:
-            return r
-    raise ValueError(f"no sqrt(-1) mod {p}")  # pragma: no cover
-
-
-_IMOD_CACHE: dict[int, int] = {}
-
-
-def _grat_mod(x: GaussianRational, p: int) -> int:
-    imod = _IMOD_CACHE.get(p)
-    if imod is None:
-        imod = _IMOD_CACHE[p] = _sqrt_minus_one(p)
-    dre, dim = x.re.denominator % p, x.im.denominator % p
-    if dre == 0 or dim == 0:
-        raise ZeroDivisionError("denominator divisible by p")
-    a = x.re.numerator % p * pow(dre, p - 2, p) % p
-    b = x.im.numerator % p * pow(dim, p - 2, p) % p
-    return (a + b * imod) % p
-
-
-def nullity_mod_p(rows, ncols: int, p: int = MODP_PRIMES[0]) -> int:
-    """Nullity of the system with entries reduced mod p.
-
-    Specialization can only lower rank, so this is an *upper bound* on the
-    true nullity; with the default 31-bit prime it is almost surely exact.
-    Raises ZeroDivisionError if a denominator vanishes mod p (retry with
-    another prime from MODP_PRIMES).
+    The rows are cleared to Gaussian integers first, so no entry has a
+    denominator to invert.  Specialization can only lower rank, so this is an
+    *upper bound* on the true nullity; with the 127-bit P it is almost surely
+    exact.  In the one case the reduction cannot be made (a row's common
+    denominator divisible by P) the exact rank is used instead.
     """
-    rows = [{c: m for c, v in row.items() if (m := _grat_mod(v, p))} for row in rows]
-    return ncols - len(_sparse_rref(rows, p))
+    rows = list(rows)
+    try:
+        return ncols - len(_rref_loop(_image_mod_p(rows, _CERT_S), _CERT_P))
+    except _Uncertified:
+        return ncols - rank_sparse(rows, ncols)

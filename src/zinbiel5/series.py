@@ -16,6 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, Optional
 
 import mpmath
@@ -51,6 +52,8 @@ __all__ = [
     "DEFAULT_TRUNCATION",
     "RAMIFICATION_CAP",
     "MAX_DEGREE",
+    "MAX_EXPRESSION_LENGTH",
+    "MAX_NESTING",
 ]
 
 DEFAULT_TRUNCATION = 16
@@ -58,6 +61,12 @@ RAMIFICATION_CAP = 12
 # Largest degree (see _degree) of a parsed expression.  The bundled tables
 # reach 19; (1+t)^64 expands in milliseconds, (1+t)^800 takes seconds.
 MAX_DEGREE = 64
+# The parser and the tree walks recurse once per level of the tree, so the
+# text is capped before it is parsed: its length bounds the depth of an
+# operator chain such as 1+1+...+1, and MAX_NESTING the depth of parentheses.
+# The bundled tables reach 110 characters and depth 2.
+MAX_EXPRESSION_LENGTH = 500
+MAX_NESTING = 32
 
 
 class NonExpandable(Exception):
@@ -310,12 +319,23 @@ def _fold_rational(e: TExpression) -> Fraction:
 
 
 def parse_expression(text) -> TExpression:
-    """Parse an expression string; numbers and Fractions pass through."""
+    """Parse an expression string; numbers and Fractions pass through.
+
+    Text longer than ``MAX_EXPRESSION_LENGTH`` or with parentheses nested
+    deeper than ``MAX_NESTING`` raises ``ValueError`` before it is parsed.
+    """
     if isinstance(text, TExpression):
         return text
     if isinstance(text, (int, Fraction)):
         return TNum(Fraction(text))
     text = str(text)
+    if len(text) > MAX_EXPRESSION_LENGTH:
+        raise ValueError(f"expression too long in {text[:40]!r}: "
+                         f"{len(text)} characters, at most {MAX_EXPRESSION_LENGTH}")
+    depth = max(accumulate((c == "(") - (c == ")") for c in text), default=0)
+    if depth > MAX_NESTING:
+        raise ValueError(f"expression nested too deeply in {text[:40]!r}: "
+                         f"depth {depth}, at most {MAX_NESTING}")
     try:
         return _bounded(_Parser(_tokenize(text)).parse(), text)
     except ZeroDivisionError:

@@ -13,7 +13,7 @@ from zinbiel5.catalog import MAX_DIM, extension_records, family_samples, rset_ro
 from zinbiel5.cli import _form_text, _vector_text, main
 from zinbiel5.degeneration import MAX_PRECISION_BITS, MAX_TRUNCATION, MIN_PRECISION_BITS
 from zinbiel5.exactmath import ExactMatrix, GaussianRational
-from zinbiel5.series import MAX_DEGREE
+from zinbiel5.series import MAX_DEGREE, MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -426,6 +426,25 @@ def test_power_beyond_bound_exits_2_in_under_2_s(capsys, tmp_path, command, expr
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert err == f"error: power too large in {expr!r}: degree above {MAX_DEGREE}\n"
+
+
+EXPRESSION_PROBES = [
+    ("(" * 3000 + "1" + ")" * 3000, "too long"),
+    ("+".join(["1"] * 200_000), "too long"),
+    ("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1), "nested too deeply"),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, what", EXPRESSION_PROBES, ids=["3000-parentheses", "200000-terms", "nesting"]
+)
+def test_oversized_expression_exits_2_with_one_line(capsys, tmp_path, expr, what):
+    path = tmp_path / "rset.json"
+    path.write_text(json.dumps({"equations": [expr]}))
+    code, out, err = run(capsys, "rset", "--algebra", "Z_27", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: expression {what} in {expr[:40]!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

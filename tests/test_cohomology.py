@@ -268,3 +268,88 @@ def _satisfies_cocycle_definition(base, m):
 def test_is_cocycle_matches_definition(case):
     base, m = case
     assert is_cocycle(base, m) == _satisfies_cocycle_definition(base, m)
+
+
+# which forms are new classes modulo B^2 -------------------------------------
+
+
+def _vec(m):
+    return tuple(x for row in m.rows for x in row)
+
+
+def _greedy_reps(basis):
+    """Reference: H^2 representatives by one rank per Z^2 vector."""
+    working = [_vec(m) for m in basis.b2]
+    reps = []
+    for z in basis.z2:
+        trial = working + [_vec(z)]
+        if ExactMatrix(trial).rank() > len(working):
+            working = trial
+            reps.append(z)
+    return tuple(reps)
+
+
+def _independent_mod_b2(b2, mats):
+    """Reference: the classes of ``mats`` are independent modulo B^2."""
+    vecs = [_vec(m) for m in (*b2, *mats)]
+    return ExactMatrix(vecs).rank() == len(vecs)
+
+
+def _cohomologous_by_rank(b2, m1, m2):
+    """Reference: m1 - m2 adds nothing to the rank of B^2."""
+    diff = _vec(m1 - m2)
+    vecs = [_vec(m) for m in b2]
+    return not any(diff) or bool(vecs) and (
+        ExactMatrix(vecs + [diff]).rank() == ExactMatrix(vecs).rank()
+    )
+
+
+@pytest.fixture(scope="module")
+def class_question_inputs():
+    """Every catalog entry at one sample binding, and Q(i) basis changes."""
+    from zinbiel5 import catalog
+    from zinbiel5.algebra import change_basis
+    from zinbiel5.exactmath import I
+
+    algebras = [
+        catalog.instantiate(eid, catalog.family_samples(eid)[-1])
+        for eid in catalog.list_ids()
+    ]
+    for eid in ("Z_05", "Z_24", "Z_27", "[N1]^2_08"):
+        A = catalog.instantiate(eid)
+        n = A.dim
+        P = ExactMatrix([
+            [1 + I if i == j else (I if j == i + 1 else ZERO) for j in range(n)]
+            for i in range(n)
+        ])
+        algebras.append(change_basis(A, P))
+    return algebras
+
+
+def test_h2_reps_match_greedy_rank_loop(class_question_inputs):
+    for A in class_question_inputs:
+        basis = h2(A)
+        assert basis.reps == _greedy_reps(basis), A.label
+
+
+def test_cohomologous_and_wellformed_match_rank_references(class_question_inputs):
+    answers = set()
+    for A in class_question_inputs:
+        basis = h2(A)
+        if not basis.reps:
+            continue
+        r, z = basis.reps[0], basis.z2[-1]
+        pairs = [(r, z), (r, ExactMatrix.zeros(A.dim, A.dim)), (z, z)]
+        pairs += [(r + b, r) for b in basis.b2[:1]]
+        for m1, m2 in pairs:
+            got = cohomologous(A, m1, m2)
+            assert got == _cohomologous_by_rank(basis.b2, m1, m2), A.label
+            answers.add(got)
+        forms = [basis.reps[:2]]
+        forms += [(r, r + b) for b in basis.b2[:1]]  # one class twice
+        for mats in forms:
+            report = extension_wellformed(A, CocycleForm(tuple(mats)))
+            want = _independent_mod_b2(basis.b2, mats)
+            assert report.classes_independent == want, A.label
+            answers.add(want)
+    assert answers == {True, False}

@@ -11,7 +11,6 @@ from zinbiel5.exactmath import (
     ZERO,
     ExactMatrix,
     GaussianRational,
-    MODP_PRIMES,
     grat,
     kernel_basis_sparse,
     nullity_mod_p,
@@ -175,13 +174,12 @@ def test_sparse_matches_dense(m):
 def test_modp_nullity_matches_exact(m):
     rows, ncols = _to_sparse(m)
     exact = len(_textbook_kernel(m))
-    assert nullity_mod_p(rows, ncols, MODP_PRIMES[0]) == exact
+    assert nullity_mod_p(rows, ncols) == exact
 
 
-def test_modp_prime_properties():
-    for p in MODP_PRIMES:
-        assert p % 4 == 1
-        assert pow(2, p - 1, p) == 1  # Fermat check, all are genuine primes
+def test_modp_nullity_uses_exact_rank_when_a_denominator_is_p():
+    # the row cannot be cleared to an integer row mod P
+    assert nullity_mod_p([{0: ONE, 1: GaussianRational(Fraction(1, P), 1)}], 2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +207,13 @@ def test_certified_rref_matches_loop_and_textbook(m, data):
     try:
         assert exactmath._certified_rref(sparse) == loop
     except exactmath._Uncertified as exc:
-        # the one fallback expected here: an RREF entry too tall for Wang's bound
-        assert "reconstruction" in str(exc)
+        # the one fallback expected here: an RREF entry too tall for Wang's
+        # bound, which either has no reconstruction or a wrong one that the
+        # kernel check rejects
+        assert str(exc) in (
+            "rational reconstruction failed",
+            "a kernel vector does not annihilate the rows",
+        )
         parts = [
             part
             for row in loop.values()
@@ -231,6 +234,10 @@ P = exactmath._CERT_P
             [{0: GaussianRational(2**64 + 1), 1: GaussianRational(2**64 + 3, 1)}],
             "rational reconstruction failed",
         ),
+        (  # an entry above Wang's bound that reconstructs to the wrong fraction
+            [{0: ONE, 1: GaussianRational(Fraction(2**64 + 1, 2), 1)}],
+            "a kernel vector does not annihilate the rows",
+        ),
         (  # det = P: the rank drops mod P, so the kernel check fails
             [{0: ONE, 1: GaussianRational(1, 1)}, {0: ONE, 1: GaussianRational(1 + P, 1)}],
             "a kernel vector does not annihilate the rows",
@@ -240,7 +247,7 @@ P = exactmath._CERT_P
             "a denominator is divisible by P",
         ),
     ],
-    ids=["above-2**64", "numerator-P", "denominator-P"],
+    ids=["above-2**64", "wrong-reconstruction", "numerator-P", "denominator-P"],
 )
 def test_certified_path_falls_back_with_reason(rows, reason, caplog):
     with pytest.raises(exactmath._Uncertified, match=reason):
