@@ -3,17 +3,21 @@
 
 Prints one line per certificate (verdict, tier, determinant valuation,
 sampled parameters) followed by summary counts, so changes in the exact /
-numeric split are easy to spot.
+numeric split are easy to spot.  --timings also prints each certificate's
+verification wall time, and the total, to stderr; stdout and the --json
+file are the same with and without it.
 
 Examples:
     python scripts/degeneration_report.py
     python scripts/degeneration_report.py --mode numeric --truncation 24
     python scripts/degeneration_report.py --only "Z_14 -> Z_10" --json out.json
+    python scripts/degeneration_report.py --mode numeric --timings
 """
 
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 
 from zinbiel5.catalog import certificates
@@ -27,6 +31,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--precision", type=int, default=None, help="numeric bits")
     parser.add_argument("--only", default="", help="substring filter on labels")
     parser.add_argument("--json", default="", help="also write results to this file")
+    parser.add_argument(
+        "--timings", action="store_true", help="print verification wall times to stderr"
+    )
     return parser.parse_args(argv)
 
 
@@ -35,9 +42,11 @@ def main(argv=None) -> int:
     rows = []
     verdicts = Counter()
     tiers = Counter()
+    elapsed = 0.0
     for cert in certificates():
         if args.only and args.only not in cert.label:
             continue
+        start = time.perf_counter()
         try:
             report = verify_certificate(
                 cert, mode=args.mode, trunc=args.truncation, precision=args.precision
@@ -45,6 +54,10 @@ def main(argv=None) -> int:
         except ValueError as exc:  # e.g. a truncation or precision out of range
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        seconds = time.perf_counter() - start
+        elapsed += seconds
+        if args.timings:
+            print(f"{cert.label:28s} {seconds:8.3f} s", file=sys.stderr)
         verdicts[report.verdict] += 1
         tiers[report.mode] += 1
         dets = sorted(
@@ -70,6 +83,8 @@ def main(argv=None) -> int:
             }
         )
     total = sum(verdicts.values())
+    if args.timings:
+        print(f"{'total':28s} {elapsed:8.3f} s", file=sys.stderr)
     print(f"\n{total} certificates:",
           " ".join(f"{k}={v}" for k, v in sorted(verdicts.items())),
           "| tiers:", " ".join(f"{k}={v}" for k, v in sorted(tiers.items())))

@@ -219,27 +219,29 @@ def _transport(dim, entries, E, inv, value, zero):
     """The constants (a, b, k, expr) moved to the basis rows E, times inv.
 
     w[i][j][k] = sum of E[i][a] * E[j][b] * value(expr); the result is the
-    grid w . inv.  Terms with a factor equal to ``zero`` are skipped (a
-    truncated series with no known term is not equal to the exact zero).
+    grid w . inv.  A term with a falsy factor is skipped: falsy means the
+    exact zero, for a mpmath number and for a series alike (a truncated
+    series with no known term is truthy), so every skipped term is
+    provably zero and the nonzero terms keep their arithmetic and order.
     """
     w = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for a, b, k, expr in entries:
         c = value(expr)
-        if c == zero:
+        if not c:
             continue
         for i in range(dim):
             Eia = E[i][a - 1]
-            if Eia == zero:
+            if not Eia:
                 continue
             for j in range(dim):
                 Ejb = E[j][b - 1]
-                if Ejb == zero:
+                if not Ejb:
                     continue
                 w[i][j][k - 1] = w[i][j][k - 1] + Eia * Ejb * c
     return tuple(
         tuple(
             tuple(
-                sum((wm * inv[m][k] for m, wm in enumerate(w[i][j]) if wm != zero), zero)
+                sum((wm * inv[m][k] for m, wm in enumerate(w[i][j]) if wm), zero)
                 for k in range(dim)
             )
             for j in range(dim)
@@ -377,7 +379,13 @@ def _exact_attempt(source, basis_grid, target, series_params, branch, trunc):
 
 
 def _neville_at_zero(xs, ys):
-    """Neville extrapolation of (xs, ys) to x = 0."""
+    """Neville extrapolation of (xs, ys) to x = 0.
+
+    An all-zero ladder extrapolates to its own exact zero, which is what
+    the recurrence computes from it term by term.
+    """
+    if not any(ys):
+        return ys[0]
     n = len(xs)
     tab = list(ys)
     for level in range(1, n):
@@ -420,12 +428,13 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
 
         E = [[value(e) for e in row] for row in basis_grid]
         B = mpmath.matrix(E)
-        det = mpmath.det(B)
+        # mpmath's LU cannot pivot on an all-zero column; such a basis is singular
+        det = mpmath.det(B) if all(map(any, zip(*E))) else 0
         if abs(det) == 0:
             return "inconclusive", (), None, str(mpmath.mpf(1))
         dets.append((tval, det))
         grid = _transport(
-            dim, source.entries, E, (B**-1).tolist(), value, mpmath.mpc(0)
+            dim, source.entries, E, mpmath.inverse(B).tolist(), value, mpmath.mpc(0)
         )
         samples.append((tval, grid))
     xs = [mpmath.power(tval, mpmath.mpf(1) / ram) for tval, _ in samples]

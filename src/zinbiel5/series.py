@@ -646,6 +646,10 @@ class PuiseuxSeries:
     def known_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        """False only for the exact zero; O(t^k) with no known term is true."""
+        return bool(self.coeffs) or self.prec is not None
+
     def valuation(self) -> Optional[Fraction]:
         """Exponent of the first known nonzero term (None if none known)."""
         if not self.coeffs:
@@ -717,9 +721,7 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         a, b = self._common(self, self._coerce(other))
-        if not a.coeffs and a.prec is None:
-            return PuiseuxSeries.zero(a.ram)
-        if not b.coeffs and b.prec is None:
+        if not a or not b:
             return PuiseuxSeries.zero(a.ram)
         va = a.coeffs[0][0] if a.coeffs else a.prec
         vb = b.coeffs[0][0] if b.coeffs else b.prec
@@ -775,7 +777,7 @@ class PuiseuxSeries:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if not other.coeffs and other.prec is None:
+        if not other:
             raise ZeroDivisionError("division by the zero series")
         if other.prec is None and len(other.coeffs) == 1:
             k, c = other.coeffs[0]

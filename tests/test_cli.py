@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -339,6 +340,34 @@ def test_certificate_file_takes_integer_scalars(capsys, tmp_path):
     path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, "degenerate", "--cert", str(path))
     assert code == 0 and "verified (exact)" in out
+
+
+def _degeneration_report():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "degeneration_report.py"
+    spec = importlib.util.spec_from_file_location("degeneration_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_degeneration_report_timings_go_to_stderr_only(capsys, tmp_path):
+    report = _degeneration_report()
+    outputs = []
+    for extra in ((), ("--timings",)):
+        path = tmp_path / f"report{len(extra)}.json"
+        argv = ["--mode", "numeric", "--only", "Z_22 -> Z_1", "--json", str(path), *extra]
+        assert report.main(argv) == 0
+        out = capsys.readouterr()
+        outputs.append((out.out.replace(str(path), "OUT"), path.read_bytes(), out.err))
+    (plain_out, plain_json, plain_err), (timed_out, timed_json, timed_err) = outputs
+    assert plain_out == timed_out and plain_json == timed_json
+    assert "4 certificates: verified=4 | tiers: numeric=4" in plain_out
+    assert plain_err == ""
+    lines = timed_err.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["Z_22"] * 4 + ["total"]
+    seconds = [float(ln.split()[-2]) for ln in lines]
+    assert all(ln.endswith(" s") for ln in lines)
+    assert seconds[-1] == pytest.approx(sum(seconds[:-1]), abs=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from zinbiel5.algebra import algebra_from_entries, change_basis, zero_algebra
+from zinbiel5.catalog import certificates
 from zinbiel5.degeneration import (
+    NUMERIC_LADDER,
     DegenerationCertificate,
     FamilyTensor,
     NecessaryReport,
     RSet,
     necessary_conditions,
     rset_membership,
+    _neville_at_zero,
     transported_constants,
     verify_certificate,
 )
@@ -217,6 +223,78 @@ def test_certificate_index_requires_parametric_source():
         verify_certificate(
             cert(SQUARE2, SQUARE2, identity_basis(2), source_index="t")
         )
+
+
+def _identity_rows(n, start):
+    return tuple(
+        tuple("1" if i == j else "0" for j in range(n)) for i in range(start, n)
+    )
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        # two equal rows
+        (("1", "t", "0", "0", "0"),) * 2 + _identity_rows(5, 2),
+        # two equal rows and a zero first column, where mpmath's LU cannot pivot
+        (("0", "1", "0", "0", "0"),) * 2
+        + (("0", "0", "0", "t", "-1"), ("0", "0", "t", "0", "0"), ("0", "0", "0", "0", "-t")),
+    ],
+)
+def test_singular_basis_on_both_tiers(basis):
+    sing = cert("Z_27", "Z_27", basis)
+    for mode in ("exact", "auto"):
+        rep = verify_certificate(sing, mode=mode)
+        assert rep.verdict == "failed" and rep.mode == "exact", mode
+        assert rep.samples[0].failures == (("basis", "singular"),), mode
+    rep = verify_certificate(sing, mode="numeric")
+    assert (rep.verdict, rep.mode) == ("inconclusive", "numeric")
+    (sample,) = rep.samples
+    assert sample.max_residual == "1.0"
+    assert sample.det_valuation is None
+    assert sample.failures == ()
+
+
+def _neville_recurrence(xs, ys):
+    """The full Neville tableau at x = 0, with no shortcut."""
+    tab = list(ys)
+    for level in range(1, len(xs)):
+        tab = [
+            (xs[k + level] * tab[k] - xs[k] * tab[k + 1]) / (xs[k + level] - xs[k])
+            for k in range(len(xs) - level)
+        ]
+    return tab[0]
+
+
+def test_neville_shortcut_matches_the_recurrence():
+    with mpmath.workprec(256):
+        xs = [mpmath.power(mpmath.mpf(t), mpmath.mpf(1) / 3) for t in NUMERIC_LADDER]
+        zero = mpmath.mpc(0)
+        ladders = [
+            [zero] * len(xs),
+            [mpmath.mpc(3, -1)] + [zero] * (len(xs) - 1),
+            [zero] * (len(xs) - 1) + [mpmath.mpc("1e-40")],
+        ]
+        for ys in ladders:
+            fast, full = _neville_at_zero(xs, ys), _neville_recurrence(xs, ys)
+            assert type(fast) is type(full)
+            assert fast == full
+            assert mpmath.nstr(fast, 5) == mpmath.nstr(full, 5)
+        assert not _neville_at_zero(xs, ladders[0])
+        assert _neville_at_zero(xs, ladders[1])
+
+
+NUMERIC_REPORTS = Path(__file__).resolve().parent / "data" / "numeric_reports.json"
+
+
+def test_numeric_reports_of_all_bundled_certificates():
+    """Every bundled certificate's numeric-tier report, byte for byte."""
+    expected = json.loads(NUMERIC_REPORTS.read_text(encoding="utf-8"))
+    certs = certificates()
+    assert [rep["label"] for rep in expected] == [c.label for c in certs]
+    for c, want in zip(certs, expected):
+        got = verify_certificate(c, mode="numeric").as_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), c.label
 
 
 # necessary conditions -----------------------------------------------------------

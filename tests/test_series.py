@@ -304,6 +304,18 @@ def test_division_errors():
         blurred.inverse()
 
 
+def test_truthiness_means_not_the_exact_zero():
+    assert not PuiseuxSeries.zero()
+    assert not PuiseuxSeries.zero(ram=3)
+    assert not expand_series("t-t")
+    # O(t^k) with no known term may still be nonzero
+    assert _series(1, 4, {})
+    assert _series(2, 1, {})
+    assert expand_series("sqrt(1+t)") - expand_series("sqrt(1+t)")
+    for x in (_4T2, _4T2_O5, _1_PLUS_T, _T_PLUS_T2, _series(3, None, {F(1, 3): -1})):
+        assert x
+
+
 def test_parameter_substitution_with_series():
     # substituting a series-valued parameter composes the family
     f = expand_series("t-1")
