@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from time import perf_counter
 
 from .algebra import (
     Algebra,
@@ -691,6 +692,9 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteReport:
     checks: tuple
+    # ((check name, wall seconds), ...) in run order: a sidecar, outside the
+    # report's dict, JSON and equality
+    timings: tuple = field(default=(), compare=False)
 
     @property
     def ok(self) -> bool:
@@ -1087,12 +1091,14 @@ class _Suite:
         unknown = [c for c in wanted if c not in CHECK_ORDER]
         if unknown:
             raise CatalogError(f"unknown checks {unknown}")
-        results = []
+        results, timings = [], []
         for name in CHECK_ORDER:
             if name not in wanted:
                 continue
+            start = perf_counter()
             results.append(getattr(self, f"check_{name}")())
-        return SuiteReport(tuple(results))
+            timings.append((name, perf_counter() - start))
+        return SuiteReport(tuple(results), tuple(timings))
 
 
 def labels_base(labels):

@@ -530,6 +530,10 @@ def _cmd_catalog(args) -> int:
         print(json.dumps(report.as_dict(), sort_keys=True, separators=(",", ":")))
     else:
         print(report.as_text())
+    if args.timings:
+        for name, seconds in report.timings:
+            print(f"{name:14s} {seconds:8.3f} s", file=sys.stderr)
+        print(f"{'total':14s} {sum(s for _, s in report.timings):8.3f} s", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -635,6 +639,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", metavar="C1,C2", help="subset of suite checks")
     p.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
     p.add_argument("--truncation", type=int, default=16, metavar="ORDER")
+    p.add_argument(
+        "--timings", action="store_true",
+        help="print each verify-all check's wall time to stderr",
+    )
     p.set_defaults(fn=_cmd_catalog)
 
     return parser

@@ -445,7 +445,9 @@ class Radical:
     """Element of Q(i)(sqrt(d_1), ..., sqrt(d_k)), d_j squarefree positive.
 
     Stored as a sorted tuple of (d, coefficient) with d = 1 the rational
-    part; products contract via sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2).
+    part and no zero coefficient, which is canonical since the sqrt(d) are
+    independent over Q(i); products contract via sqrt(d1)*sqrt(d2) =
+    g*sqrt(d1*d2/g^2).
     """
 
     terms: tuple
@@ -453,12 +455,12 @@ class Radical:
     @staticmethod
     def _make(data: Dict[int, GaussianRational]) -> "Radical":
         items = tuple(sorted((d, c) for d, c in data.items() if c))
-        return Radical(items)
+        return _radical(items)
 
     @staticmethod
     def from_gaussian(z) -> "Radical":
         z = grat(z)
-        return Radical(((1, z),) if z else ())
+        return _radical(((1, z),) if z else ())
 
     @property
     def is_gaussian(self) -> bool:
@@ -480,15 +482,21 @@ class Radical:
 
     def __add__(self, other):
         other = self._coerce(other)
-        data = dict(self.terms)
-        for d, c in other.terms:
+        a, b = self.terms, other.terms
+        if not (a and b):
+            return other if b else self
+        if len(a) == len(b) == 1 and a[0][0] == b[0][0] == 1:
+            c = a[0][1] + b[0][1]
+            return _radical(((1, c),) if c else ())
+        data = dict(a)
+        for d, c in b:
             data[d] = data.get(d, ZERO) + c
         return self._make(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical(tuple((d, -c) for d, c in self.terms))
+        return _radical(tuple((d, -c) for d, c in self.terms))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -498,9 +506,12 @@ class Radical:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        a, b = self.terms, other.terms
+        if len(a) == len(b) == 1 and a[0][0] == b[0][0] == 1:
+            return _radical(((1, a[0][1] * b[0][1]),))
         data: Dict[int, GaussianRational] = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
+        for d1, c1 in a:
+            for d2, c2 in b:
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
                 v = c1 * c2
@@ -512,7 +523,7 @@ class Radical:
     __rmul__ = __mul__
 
     def _conjugate_by(self, p: int) -> "Radical":
-        return Radical(tuple((d, -c if d % p == 0 else c) for d, c in self.terms))
+        return _radical(tuple((d, -c if d % p == 0 else c) for d, c in self.terms))
 
     def inverse(self) -> "Radical":
         if not self.terms:
@@ -547,7 +558,14 @@ class Radical:
         return " + ".join(parts)
 
 
-_RAD_ZERO = Radical(())
+def _radical(terms: tuple) -> Radical:
+    """The allocator behind every Radical: terms already canonical."""
+    r = object.__new__(Radical)
+    object.__setattr__(r, "terms", terms)
+    return r
+
+
+_RAD_ZERO = _radical(())
 _RAD_ONE = Radical.from_gaussian(ONE)
 _HALF = Fraction(1, 2)
 
@@ -567,7 +585,7 @@ def _sqrt_positive_fraction(fr: Fraction) -> Radical:
     """sqrt of a positive rational as (s/den) * sqrt(d)."""
     s, d = _squarefree(fr.numerator * fr.denominator)
     coeff = grat(Fraction(s, fr.denominator))
-    return Radical(((d, coeff),))
+    return _radical(((d, coeff),))
 
 
 def sqrt_gaussian(z: GaussianRational) -> Radical:
@@ -737,7 +755,7 @@ class PuiseuxSeries:
                 k = k1 + k2
                 if prec is not None and k >= prec:
                     continue
-                data[k] = data.get(k, _RAD_ZERO) + c1 * c2
+                data[k] = data[k] + c1 * c2 if k in data else c1 * c2
         return self._build(data, a.ram, prec)
 
     __rmul__ = __mul__
@@ -750,13 +768,15 @@ class PuiseuxSeries:
         return self._binomial(Fraction(-1), self.coeffs[0][1].inverse(), trunc)
 
     def _binomial(self, alpha: Fraction, root: Radical, trunc: int) -> "PuiseuxSeries":
-        """self^alpha as root t^(v alpha) sum_j binom(alpha, j) u^j.
+        """self^alpha as root t^(v alpha) (1+u)^alpha, by Miller's recurrence.
 
         Here self = lead t^v (1+u), root is the chosen lead^alpha and v alpha
-        must be whole (in 1/ram units).  The sum keeps rel relative orders:
-        trunc of them when self is exact, else the span self is known over.
-        The result is known modulo t^(rel + v alpha), or exactly when self is
-        an exact monomial.
+        must be whole (in 1/ram units).  With f_k the coefficients of u,
+        g = (1+u)^alpha has g_0 = 1 and n g_n = sum_(k=1..n) (alpha k - n + k)
+        f_k g_(n-k) (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7): one pass over u
+        per coefficient.  It keeps rel relative orders, trunc of them when
+        self is exact, else the span self is known over, so the result is
+        known modulo t^(rel + v alpha); an exact monomial stays exact.
         """
         v, lead = self.coeffs[0]
         rel = trunc * self.ram if self.prec is None else self.prec - v
@@ -765,15 +785,12 @@ class PuiseuxSeries:
         mono = PuiseuxSeries._build({shift: root}, self.ram, None)
         if not u.coeffs:
             return mono.truncate_units(None if self.prec is None else rel + shift)
-        total = term = PuiseuxSeries.scalar(ONE, self.ram)
-        coeff = Fraction(1)
-        for j in range(1, rel // u.coeffs[0][0] + 2):
-            coeff *= (alpha - j + 1) / j
-            term = (term * u).truncate_units(rel)
-            if not term.coeffs:
-                break
-            total = total + term * grat(coeff)
-        return (total * mono).truncate_units(rel + shift)
+        g = [_RAD_ONE]
+        for n in range(1, rel):
+            g.append(sum((c * g[n - k] * grat((alpha * k - n + k) / n) for k, c in u.coeffs
+                          if k <= n and g[n - k] and alpha * k != n - k), _RAD_ZERO))
+        out = {n + shift: gn * root for n, gn in enumerate(g) if gn}
+        return self._build(out, self.ram, rel + shift)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -890,16 +907,17 @@ def _monomial_coeff_root(c: Radical, e: Fraction) -> Radical:
         root_den = _int_root(z.re.denominator, q)
         if root_num is not None and root_den is not None:
             return Radical.from_gaussian(grat(Fraction(root_num, root_den) ** p))
-    raise NonExpandable(f"no exact {e} power of coefficient {c}")
+    raise NonExpandable(f"no exact {e} power of coefficient {str(c)[:40]!r}")
 
 
 def _int_root(n: int, q: int) -> Optional[int]:
-    """Exact integer q-th root of n >= 1, or None."""
-    guess = round(n ** (1.0 / q))
-    for r in (guess - 1, guess, guess + 1):
-        if r >= 1 and r**q == n:
-            return r
-    return None
+    """Exact integer q-th root of n >= 1, or None: Newton steps down in integers."""
+    if q >= n.bit_length():  # n < 2^q, so the root is below 2
+        return 1 if n == 1 else None
+    r = 1 << -(-n.bit_length() // q)  # r^q > n
+    while (s := ((q - 1) * r + n // r ** (q - 1)) // q) < r:
+        r = s
+    return r if r**q == n else None
 
 
 # ---------------------------------------------------------------------------

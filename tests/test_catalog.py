@@ -275,6 +275,15 @@ class TestSuite:
     def test_checks_subset_runs_in_order(self):
         rep = cat.verify_all(cat.SuiteConfig(checks=("squares", "identity")))
         assert tuple(c.name for c in rep.checks) == ("identity", "squares")
+        assert [name for name, _ in rep.timings] == ["identity", "squares"]
+        assert all(seconds >= 0 for _, seconds in rep.timings)
+
+    def test_timings_stay_outside_the_report(self, suite_report):
+        assert [name for name, _ in suite_report.timings] == list(CHECK_ORDER)
+        bare = cat.SuiteReport(suite_report.checks)
+        assert bare.timings == () and bare == suite_report
+        assert bare.as_json() == suite_report.as_json()
+        assert "timings" not in json.loads(suite_report.as_json())
 
 
 class TestMutationSeam:

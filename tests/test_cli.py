@@ -399,6 +399,7 @@ def test_rset_membership_and_separation(capsys, tmp_path):
         ({"equations": ["c999"]}, "cannot evaluate an equation"),
         ({"equations": ["c111/0"]}, "division by zero in '(c111/0)'"),
         ({"equations": ["1/(c111)"]}, "division by zero in '(1/c111)'"),
+        ({"equations": ["1" + "0" * 400 + "^(1/3) - c111"]}, "no exact 1/3 power of coefficient"),
     ],
 )
 def test_malformed_rset_file_exits_2(capsys, tmp_path, raw, message):
@@ -499,6 +500,20 @@ def test_catalog_verify_all_subset(capsys):
     )
     assert code == 0
     assert "[PASS] identity" in out and "[PASS] squares" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_all_timings_go_to_stderr_only(capsys, fmt):
+    argv = ("catalog", "verify-all", "--checks", "squares,identity", "--format", fmt)
+    plain = run(capsys, *argv)
+    timed = run(capsys, *argv, "--timings")
+    assert plain[:2] == timed[:2] and plain[0] == 0
+    assert plain[2] == ""
+    lines = timed[2].splitlines()
+    assert [ln.split()[0] for ln in lines] == ["identity", "squares", "total"]
+    assert all(ln.endswith(" s") for ln in lines)
+    seconds = [float(ln.split()[-2]) for ln in lines]
+    assert seconds[-1] == pytest.approx(sum(seconds[:-1]), abs=0.002)
 
 
 # ---------------------------------------------------------------------------

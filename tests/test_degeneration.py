@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,12 +17,21 @@ from zinbiel5.degeneration import (
     RSet,
     necessary_conditions,
     rset_membership,
+    _bound_samples,
+    _branch_assignments,
     _neville_at_zero,
+    _resolve_source,
     transported_constants,
     verify_certificate,
 )
 from zinbiel5.exactmath import ExactMatrix, GaussianRational, grat
-from zinbiel5.series import Radical
+from zinbiel5.series import (
+    NonExpandable,
+    Radical,
+    collect_sqrt_keys,
+    expand_series,
+    parse_expression,
+)
 
 
 def alg(dim, *entries):
@@ -295,6 +305,58 @@ def test_numeric_reports_of_all_bundled_certificates():
     for c, want in zip(certs, expected):
         got = verify_certificate(c, mode="numeric").as_dict()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), c.label
+
+
+EXACT_GRIDS = Path(__file__).resolve().parent / "data" / "exact_grids.json"
+EXACT_TRUNCATIONS = (4, 16, 32)
+
+
+def _exact_grid_digests(c, trunc):
+    """sha256 of repr((grid, det)) for each sample and branch of a certificate.
+
+    The inputs are those of an exact verification attempt; an attempt the
+    exact tier cannot make is recorded by its exception's name.
+    """
+    source = _resolve_source(c.source)
+    basis = [[parse_expression(e) for e in row] for row in c.basis]
+    index = None if c.source_index is None else parse_expression(c.source_index)
+    keys = collect_sqrt_keys([e for row in basis for e in row] + [index] * (index is not None))
+    out = []
+    for scalar_params, _ in _bound_samples(c):
+        for branch in _branch_assignments(keys):
+            params = dict(scalar_params)
+            try:
+                if index is not None:
+                    params[source.symbols[0]] = expand_series(
+                        index, trunc=trunc, params=scalar_params, branch=branch)
+                got = transported_constants(source.dim, source.entries, basis,
+                                            params=params, trunc=trunc, branch=branch)
+                out.append(hashlib.sha256(repr(got).encode()).hexdigest())
+            except (NonExpandable, ZeroDivisionError) as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+def _exact_tier_record(c):
+    return {
+        "label": c.label,
+        "grids": {str(n): _exact_grid_digests(c, n) for n in EXACT_TRUNCATIONS},
+        "reports": {str(n): verify_certificate(c, mode="exact", trunc=n).as_dict()
+                    for n in EXACT_TRUNCATIONS},
+    }
+
+
+def test_exact_tier_of_all_bundled_certificates():
+    """Every bundled certificate's exact grids and exact reports at truncations 4, 16, 32.
+
+    The grids are compared by the sha256 of their repr, so the series'
+    representation (ramification, precision, term order) is pinned too.
+    """
+    expected = json.loads(EXACT_GRIDS.read_text(encoding="utf-8"))
+    certs = certificates()
+    assert [rec["label"] for rec in expected] == [c.label for c in certs]
+    for c, want in zip(certs, expected):
+        assert _exact_tier_record(c) == want, c.label
 
 
 # necessary conditions -----------------------------------------------------------

@@ -23,6 +23,7 @@ from zinbiel5.series import (
     parse_expression,
     sqrt_gaussian,
     to_text,
+    _int_root,
 )
 
 F = Fraction
@@ -340,6 +341,24 @@ def test_scalar_evaluation():
         evaluate_scalar("1/(a-a)", {"a": a})
 
 
+def test_int_root_is_exact_beyond_float_range():
+    big = 10**100 + 1
+    assert _int_root(big**3, 3) == big
+    assert _int_root(big**3 + 1, 3) is None
+    assert _int_root(big**3 - 1, 3) is None
+    assert _int_root(2**64, 64) == 2
+    assert _int_root(2, 10**12) is None
+    assert [_int_root(n, 2) for n in (1, 2, 3, 4, 9, 10)] == [1, None, None, 2, 3, None]
+    assert evaluate_scalar(f"({big**3})^(1/3)") == grat(big)
+    assert evaluate_scalar(f"1/({big**3})^(2/3)") == grat(F(1, big**2))
+
+
+def test_rational_power_error_clips_the_coefficient():
+    with pytest.raises(NonExpandable) as info:
+        evaluate_scalar("1" + "0" * 400 + "^(1/3)")
+    assert str(info.value) == f"no exact 1/3 power of coefficient {'1' + '0' * 39!r}"
+
+
 def test_numeric_evaluation_matches_series():
     exprs = ["1/(t-1)", "sqrt(4*t^2-5)", "t^(3/2)*(2-t)", "(1+i)/(1+t^2)"]
     with mpmath.workdps(60):
@@ -416,3 +435,75 @@ def test_numeric_agreement_random(e):
         direct = evaluate_numeric(e, "1e-4")
         via = s.numeric_at("1e-4")
         assert abs(direct - via) / max(1, abs(direct)) < mpmath.mpf("1e-10")
+
+
+# hypothesis: the binomial kernel against the plain power loop -----------------
+
+
+def _binomial_by_powers(s, alpha, root, trunc):
+    """s^alpha by summing binom(alpha, j) u^j power by power: the reference for _binomial."""
+    v, lead = s.coeffs[0]
+    rel = trunc * s.ram if s.prec is None else s.prec - v
+    u = s * PuiseuxSeries._build({-v: lead.inverse()}, s.ram, None) - 1
+    shift = int(v * alpha)
+    mono = PuiseuxSeries._build({shift: root}, s.ram, None)
+    if not u.coeffs:
+        return mono.truncate_units(None if s.prec is None else rel + shift)
+    total = term = PuiseuxSeries.scalar(1, s.ram)
+    coeff = F(1)
+    for j in range(1, rel // u.coeffs[0][0] + 2):
+        coeff *= (alpha - j + 1) / j
+        term = (term * u).truncate_units(rel)
+        if not term.coeffs:
+            break
+        total = total + term * grat(coeff)
+    return (total * mono).truncate_units(rel + shift)
+
+
+_GAUSS = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2)).filter(bool)
+# z_1 sqrt(d_1) + z_2 sqrt(d_2) with d_1 != d_2 in {1, 2, 3}: never zero
+_COEFF = st.dictionaries(st.sampled_from([1, 2, 3]), _GAUSS, min_size=1, max_size=2).map(
+    lambda terms: sum(Radical.from_gaussian(z) * sqrt_gaussian(grat(d)) for d, z in terms.items())
+)
+
+
+@st.composite
+def unit_series(draw, lead):
+    """lead t^(v/ram) times 1 + higher terms, exact or truncated; v may be negative."""
+    ram = draw(st.sampled_from([1, 2, 3]))
+    v = 2 * draw(st.integers(-2, 2))
+    tail = draw(st.dictionaries(st.integers(1, 12), _COEFF, max_size=4))
+    prec = draw(st.one_of(st.none(), st.integers(1, 14).map(lambda p: v + p)))
+    terms = {v: lead, **{v + k: c for k, c in tail.items()}}
+    return PuiseuxSeries._build(terms, ram, prec)
+
+
+_TRUNCS = st.sampled_from([1, 2, 4, 16])
+
+
+def _relative_order(s, trunc):
+    """The relative precision of s^alpha: None for an exact monomial, else rel."""
+    if s.prec is None and len(s.coeffs) == 1:
+        return None
+    return trunc * s.ram if s.prec is None else s.prec - s.coeffs[0][0]
+
+
+@given(_COEFF, st.data(), _TRUNCS)
+def test_binomial_inverse_matches_power_sum(lead, data, trunc):
+    s = data.draw(unit_series(lead))
+    root = lead.inverse()
+    new, old = s._binomial(F(-1), root, trunc), _binomial_by_powers(s, F(-1), root, trunc)
+    assert (repr(new), new.prec, new.ram) == (repr(old), old.prec, old.ram)
+    rel = _relative_order(s, trunc)
+    assert s * s.inverse(trunc) == PuiseuxSeries.scalar(1, s.ram).truncate_units(rel)
+
+
+@given(_GAUSS, st.data(), _TRUNCS)
+def test_binomial_sqrt_matches_power_sum(z, data, trunc):
+    root = rad(z)
+    s = data.draw(unit_series(root * root))
+    new, old = s._binomial(F(1, 2), root, trunc), _binomial_by_powers(s, F(1, 2), root, trunc)
+    assert (repr(new), new.prec, new.ram) == (repr(old), old.prec, old.ram)
+    r = s.sqrt(trunc=trunc)
+    rel = _relative_order(s, trunc)
+    assert r * r == s.truncate_units(None if rel is None else s.coeffs[0][0] + rel)
