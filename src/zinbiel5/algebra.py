@@ -12,7 +12,7 @@ sides are divided back into Q(i).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -225,20 +225,27 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _annihilator_rows(A: Algebra):
-    """Rows of x e_j = e_j x = 0 in the coordinates of x, one per (j, k)."""
+def _components(A: Algebra):
+    """The structure tensor read as n bilinear forms: form k is (i, j) -> c[i][j][k]."""
     n = A.dim
+    return [[[A.c[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
+
+
+def _annihilator_rows(mats):
+    """Rows of m(x, e_j) = m(e_j, x) = 0 in the coordinates of x, for every
+    n x n form m in ``mats`` (indexed m[i][j]) and every j."""
     rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append({i: A.c[i][j][k] for i in range(n) if A.c[i][j][k]})
-            rows.append({m: A.c[j][m][k] for m in range(n) if A.c[j][m][k]})
+    for m in mats:
+        n = len(m)
+        for j in range(n):
+            rows.append({i: m[i][j] for i in range(n) if m[i][j]})
+            rows.append({i: m[j][i] for i in range(n) if m[j][i]})
     return [row for row in rows if row]
 
 
 def annihilator(A: Algebra):
     """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors."""
-    return kernel_basis_sparse(_annihilator_rows(A), A.dim)
+    return kernel_basis_sparse(_annihilator_rows(_components(A)), A.dim)
 
 
 def _span_basis(vectors):
@@ -253,6 +260,10 @@ class PowerFiltration:
     dims: tuple  # dims of A^1, A^2, ... until 0 or stabilization
     nilpotent: bool
     index: Optional[int]  # smallest k with A^(k+1) = 0
+
+    def dim(self, k: int) -> int:
+        """dim A^k for any k >= 1: the filtration is constant once it stops."""
+        return self.dims[min(k, len(self.dims)) - 1]
 
 
 def power_filtration(A: Algebra) -> PowerFiltration:
@@ -399,14 +410,7 @@ class Fingerprint:
     h2_dim: int
 
     def as_tuple(self):
-        return (
-            self.dim,
-            self.power_dims,
-            self.ann_dim,
-            self.der_dim,
-            self.z2_dim,
-            self.h2_dim,
-        )
+        return astuple(self)
 
 
 def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
@@ -422,33 +426,19 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
 
     n = A.dim
     pf = power_filtration(A)
-    pdims = []
-    for k in range(2, 6):
-        if k - 1 < len(pf.dims):
-            pdims.append(pf.dims[k - 1])
-        else:
-            pdims.append(pf.dims[-1])
+    pdims = tuple(pf.dim(k) for k in range(2, 6))
     ann = len(annihilator(A))
     der = derivation_dimension(A, method=method)
     z2 = _nullity(_cocycle_rows(A), n * n, method)
     b2 = coboundary_dimension(A)
-    return Fingerprint(n, tuple(pdims), ann, der, z2, z2 - b2)
+    return Fingerprint(n, pdims, ann, der, z2, z2 - b2)
 
 
 def direct_sum(A: Algebra, B: Algebra) -> Algebra:
-    n, m = A.dim, B.dim
-    dim = n + m
-    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = A.c[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c[n + i][n + j][n + k] = B.c[i][j][k]
+    n = A.dim
+    moved = [(i + n, j + n, k + n, v) for i, j, k, v in B.entries()]
     label = f"{A.label}+{B.label}" if A.label or B.label else ""
-    return Algebra(dim, tuple(tuple(tuple(r) for r in p) for p in c), label=label)
+    return algebra_from_entries(n + B.dim, [*A.entries(), *moved], label=label)
 
 
 def zero_algebra(dim: int, label: str = "") -> Algebra:

@@ -44,7 +44,7 @@ from .degeneration import (
     verify_certificate,
 )
 from .exactmath import GaussianRational, grat
-from .series import evaluate_scalar
+from .series import NonExpandable, evaluate_scalar
 
 __all__ = [
     "CatalogError",
@@ -204,7 +204,10 @@ def _coerce_param(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, str):
-        return evaluate_scalar(value)
+        try:
+            return evaluate_scalar(value)
+        except NonExpandable as exc:  # a symbol or t in a parameter value
+            raise CatalogError(f"parameter value {value[:40]!r}: {exc}") from None
     return grat(value)
 
 
@@ -392,6 +395,7 @@ def check_extension(rec: ExtensionRecord, binding=None, tensor=instantiate) -> E
     ``tensor(eid, binding)`` supplies the catalog algebras.
     """
     binding = dict(binding or {})
+    child = tensor(rec.child, binding or None)  # rejects a binding the child does not take
     parent_binding = None
     if rec.parent_param is not None:
         scalars = {k: _coerce_param(v) for k, v in binding.items()}
@@ -400,13 +404,14 @@ def check_extension(rec: ExtensionRecord, binding=None, tensor=instantiate) -> E
     parent = tensor(rec.parent, parent_binding)
     form = record_form(rec, binding)
     ok = is_cocycle(parent, form.mats[0])
+    built = central_extension(parent, form) if ok else None
     return ExtensionCheck(
         parent=parent,
         form=form,
         is_cocycle=ok,
-        built=central_extension(parent, form) if ok else None,
-        child=tensor(rec.child, binding or None),
-        wellformed=extension_wellformed(parent, form) if ok else None,
+        built=built,
+        child=child,
+        wellformed=extension_wellformed(parent, form, built) if ok else None,
     )
 
 
@@ -517,15 +522,17 @@ def certificate_from_dict(raw: dict) -> DegenerationCertificate:
             return ()
         symbols = family_tensor(eid).symbols
         if isinstance(param, dict):
-            return tuple((k, str(v)) for k, v in param.items())
+            return tuple((k, str(_file_scalar(v))) for k, v in param.items())
         if len(symbols) != 1:
             raise CatalogError(
                 f"{eid} takes parameters {symbols}; bind them by name"
             )
-        return ((symbols[0], str(param)),)
+        return ((symbols[0], str(_file_scalar(param))),)
 
     source_dim = entry(source_id).dim
     label = raw.get("label") or f"{source_id} -> {target_id}"
+    if not isinstance(label, str):
+        raise CatalogError("label must be a string")
     pad, index = raw.get("target_pad", 0), raw.get("index")
     if type(pad) is not int or not 0 <= pad < source_dim:
         raise CatalogError(f"target_pad must be an integer in 0..{source_dim - 1}")
@@ -540,7 +547,7 @@ def certificate_from_dict(raw: dict) -> DegenerationCertificate:
         source_params=bindings(source_id, sparam),
         target_params=bindings(target_id, tparam),
         target_pad=pad,
-        samples=tuple(dict(x) for x in samples),
+        samples=tuple({k: _file_scalar(v) for k, v in x.items()} for x in samples),
         label=label,
     )
 
@@ -884,8 +891,7 @@ class _Suite:
                 if want is None:
                     # 2-step families: annihilator contains the derived
                     # subalgebra; record the computed value for the report
-                    sq = power_filtration(alg).dims
-                    derived = sq[1] if len(sq) > 1 else 0
+                    derived = power_filtration(alg).dim(2)
                     if got < derived:
                         bad.append(
                             f"{alg.label}: dim Ann = {got} smaller than "
@@ -1048,8 +1054,7 @@ class _Suite:
         bad, info = [], []
         for eid, want in expected()["square_dims"].items():
             for alg in family_members(eid, self.tensor):
-                dims = power_filtration(alg).dims
-                got = dims[1] if len(dims) > 1 else 0
+                got = power_filtration(alg).dim(2)
                 if got != want:
                     bad.append(
                         f"{alg.label}: dim A^2 = {got}, table says {want}"

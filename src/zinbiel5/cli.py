@@ -136,8 +136,15 @@ def _algebra_from_file(path: str) -> Algebra:
     if type(dim) is not int or not 1 <= dim <= MAX_DIM:
         raise CatalogError(f"{path}: dim must be an integer in 1..{MAX_DIM}")
     label = raw.get("label") or raw.get("id") or path
-    entries = [(i, j, k, _file_scalar(v)) for i, j, k, v in raw["entries"]]
-    return algebra_from_entries(dim, entries, label=label)
+    if not isinstance(label, str):
+        raise CatalogError(f"{path}: label must be a string")
+    entries = raw["entries"]
+    if not _indexed_rows(entries, 4, dim):
+        raise CatalogError(
+            f"{path}: expected entries: [[i, j, k, coeff], ...] lists with 1 <= i, j, k <= {dim}"
+        )
+    return algebra_from_entries(dim, [(i, j, k, _file_scalar(v)) for i, j, k, v in entries],
+                                label=label)
 
 
 def _catalog_algebra(args) -> Algebra:
@@ -164,17 +171,20 @@ def _matrix_from_rows(path: str, rows) -> ExactMatrix:
     return ExactMatrix([[grat(_file_scalar(v)) for v in row] for row in rows])
 
 
+def _indexed_rows(rows, width: int, dim: int) -> bool:
+    """Is ``rows`` a list of length-``width`` lists whose entries before the
+    last (the coefficient) are JSON integers in 1..dim?"""
+    return isinstance(rows, list) and all(
+        isinstance(t, list) and len(t) == width
+        and all(type(x) is int and 1 <= x <= dim for x in t[:-1])
+        for t in rows
+    )
+
+
 def _cocycle_components(path: str, raw, dim: int) -> list:
     """The [[i, j, coeff], ...] component lists of a cocycle file."""
     comps = raw.get("components") if isinstance(raw, dict) else raw
-    if not (isinstance(comps, list) and comps and all(
-        isinstance(comp, list) and all(
-            isinstance(t, list) and len(t) == 3
-            and all(type(k) is int and 1 <= k <= dim for k in t[:2])
-            for t in comp
-        )
-        for comp in comps
-    )):
+    if not (isinstance(comps, list) and comps and all(_indexed_rows(c, 3, dim) for c in comps)):
         raise CatalogError(
             f"{path}: expected components: [[i, j, coeff], ...] lists "
             f"with 1 <= i, j <= {dim}"
@@ -326,8 +336,8 @@ def _cmd_extend(args) -> int:
         parent = _catalog_algebra(args)
         comps = _cocycle_components(args.file, _load_json(args.file), parent.dim)
         form = delta_form(parent.dim, *comps)
-        wf = extension_wellformed(parent, form)
         built = central_extension(parent, form, label=f"{parent.label} extension")
+        wf = extension_wellformed(parent, form, built)
         verdict = "pass" if wf.ok else "fail"
         extra = {"extension": {"dim": built.dim, "entries": _entries_payload(built)}}
         forms = ", ".join(_form_text(m) for m in form.mats)

@@ -168,7 +168,8 @@ class DegenerationReport:
 def _series_matrix_inverse(rows: List[List[PuiseuxSeries]], trunc: int):
     """Gauss-Jordan inverse over the series field with min-valuation pivots.
 
-    Returns (inverse, det) where det is the series determinant.
+    Returns (inverse, det) where det is the series determinant.  Each pivot
+    has a known leading term, so det has a known nonzero leading term.
     """
     n = len(rows)
     work = [list(r) for r in rows]
@@ -323,12 +324,16 @@ def _bound_samples(cert: DegenerationCertificate):
 
     The parameters are the sample's values, then the certificate's source
     bindings evaluated at them; the target bindings are evaluated at both.
+    A binding that names a symbol no sample binds is a ValueError.
     """
     for raw in cert.samples or ({},):
-        params = {name: evaluate_scalar(expr) for name, expr in dict(raw).items()}
-        for name, expr in cert.source_params:
-            params[name] = evaluate_scalar(expr, params)
-        tparams = {name: evaluate_scalar(expr, params) for name, expr in cert.target_params}
+        try:
+            params = {name: evaluate_scalar(expr) for name, expr in dict(raw).items()}
+            for name, expr in cert.source_params:
+                params[name] = evaluate_scalar(expr, params)
+            tparams = {name: evaluate_scalar(expr, params) for name, expr in cert.target_params}
+        except NonExpandable as exc:
+            raise ValueError(f"{cert.label}: {exc}") from None
         yield params, _resolve_target(cert.target, tparams, cert.target_pad)
 
 
@@ -351,10 +356,6 @@ def _exact_attempt(source, basis_grid, target, series_params, branch, trunc):
         trunc=trunc,
         branch=branch,
     )
-    if det.known_zero:
-        if det.is_exact:
-            raise ZeroDivisionError("basis matrix is singular")
-        raise NonExpandable("determinant zero to truncation")
     det_val = det.valuation()
     failures = []
     unknown = False
@@ -473,7 +474,8 @@ def verify_certificate(
     definite; numeric mismatches are reported as inconclusive.  precision
     overrides the working precision (in bits) of the numeric tier.  trunc
     must be an integer in 1..MAX_TRUNCATION and precision one in
-    MIN_PRECISION_BITS..MAX_PRECISION_BITS.
+    MIN_PRECISION_BITS..MAX_PRECISION_BITS.  A symbol that the basis, the
+    index or the source uses and a sample leaves unbound is a ValueError.
     """
     if mode not in ("auto", "exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -497,9 +499,15 @@ def verify_certificate(
     if index_expr is not None:
         branch_targets.append(index_expr)
     keys = collect_sqrt_keys(branch_targets)
+    needed = set(source.symbols).union(*map(expression_symbols, branch_targets))
+    if index_expr is not None:
+        needed.discard(source.symbols[0])
 
     results = []
     for scalar_params, target in _bound_samples(cert):
+        unbound = sorted(needed - set(scalar_params))
+        if unbound:
+            raise ValueError(f"{cert.label}: unbound parameter {unbound[0]!r}")
         if target.dim != dim:
             raise ValueError(
                 f"target dimension {target.dim} != source dimension {dim}"
@@ -629,20 +637,14 @@ def necessary_conditions(A: Algebra, B: Algebra) -> NecessaryReport:
         raise ValueError("degeneration requires equal dimensions")
     der_a = derivation_dimension(A)
     der_b = derivation_dimension(B)
-    pa = power_filtration(A).dims
-    pb = power_filtration(B).dims
-    power_ok = True
-    details = [("der", der_a, der_b)]
-    for k in range(2, A.dim + 1):
-        da = pa[k - 1] if k - 1 < len(pa) else pa[-1]
-        db = pb[k - 1] if k - 1 < len(pb) else pb[-1]
-        details.append((f"power{k}", da, db))
-        if da < db:
-            power_ok = False
+    pa = power_filtration(A)
+    pb = power_filtration(B)
+    powers = [(f"power{k}", pa.dim(k), pb.dim(k)) for k in range(2, A.dim + 1)]
+    power_ok = all(da >= db for _, da, db in powers)
     ann_a = len(annihilator(A))
     ann_b = len(annihilator(B))
-    details.append(("ann", ann_a, ann_b))
-    return NecessaryReport(der_a < der_b, power_ok, ann_a <= ann_b, tuple(details))
+    details = (("der", der_a, der_b), *powers, ("ann", ann_a, ann_b))
+    return NecessaryReport(der_a < der_b, power_ok, ann_a <= ann_b, details)
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,7 @@ def test_07_square_dimension_table(suite_checks):
     grouped = {2: set(), 3: set(), 4: set()}
     for eid, want in table.items():
         alg = cat.instantiate(eid, _sample_binding(eid))
-        dims = power_filtration(alg).dims
-        got = dims[1] if len(dims) > 1 else 0
+        got = power_filtration(alg).dim(2)
         assert got == want, f"{eid}: dim A^2 = {got}, table says {want}"
         grouped[want].add(eid)
     assert grouped[2] == {"Z_02", "Z_14", "Z_22", "V_3+2"}

@@ -9,6 +9,7 @@ from zinbiel5.algebra import (
     Algebra,
     Fingerprint,
     IdentityReport,
+    PowerFiltration,
     _derivation_rows,
     algebra_from_entries,
     annihilator,
@@ -24,8 +25,9 @@ from zinbiel5.algebra import (
     product,
     zero_algebra,
 )
+from zinbiel5.catalog import family_members, list_ids
 from zinbiel5.cohomology import _cocycle_rows
-from zinbiel5.exactmath import ONE, ZERO, ExactMatrix, grat
+from zinbiel5.exactmath import ONE, ZERO, ExactMatrix, grat, kernel_basis_sparse
 
 
 def alg(dim, *entries):
@@ -132,6 +134,33 @@ def test_power_filtration_non_nilpotent():
     pf = power_filtration(idem)
     assert not pf.nilpotent
     assert pf.index is None
+
+
+def test_power_filtration_dim_past_the_end():
+    pf = power_filtration(SYM6)  # dims (6, 4, 1, 0)
+    assert [pf.dim(k) for k in (1, 2, 3, 4, 5, 9)] == [6, 4, 1, 0, 0, 0]
+    idem = power_filtration(alg(2, (1, 1, 1, 1)))  # dims (2, 1, 1): stabilizes
+    assert [idem.dim(k) for k in (1, 2, 3, 4, 7)] == [2, 1, 1, 1, 1]
+    assert PowerFiltration((3, 0), True, 1).dim(6) == 0  # the zero algebra
+
+
+def _annihilator_rows_by_pairs(A):
+    """The Ann(A) system as first stated: rows of x e_j = e_j x = 0, one per (j, k)."""
+    n = A.dim
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append({i: A.c[i][j][k] for i in range(n) if A.c[i][j][k]})
+            rows.append({m: A.c[j][m][k] for m in range(n) if A.c[j][m][k]})
+    return [row for row in rows if row]
+
+
+def test_annihilator_matches_pairwise_rows_on_the_catalog():
+    algebras = [A for eid in list_ids() for A in family_members(eid)]
+    assert len(algebras) == 141
+    for A in algebras:
+        want = kernel_basis_sparse(_annihilator_rows_by_pairs(A), A.dim)
+        assert annihilator(A) == want, A.label
 
 
 def test_derivations_of_square2():
@@ -510,6 +539,11 @@ def test_product_and_powers_match_qi_loop(A, data):
     assert power_filtration(A).dims == _qi_power_dims(A)
     P = data.draw(qi_matrices(A.dim))
     assert change_basis(A, P).c == _qi_change_basis(A, P)
+
+
+@given(moved_specimens())
+def test_annihilator_matches_pairwise_rows_after_qi_basis_change(A):
+    assert annihilator(A) == kernel_basis_sparse(_annihilator_rows_by_pairs(A), A.dim)
 
 
 def test_purely_imaginary_products():

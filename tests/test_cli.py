@@ -287,12 +287,18 @@ def test_degenerate_wrong_basis_fails_with_exit_1(capsys, tmp_path):
     assert "failed" in out and "mismatch" in out
 
 
-def _z04_z01_row():
+def _bundled_row(source, target):
     from zinbiel5.catalog import _load
 
-    raw = _load("degenerations")["certificates"][0]
-    assert (raw["source"], raw["target"]) == ("Z_04", "Z_01")
+    raw = next(
+        r for r in _load("degenerations")["certificates"]
+        if (r["source"], r["target"]) == (source, target)
+    )
     return json.loads(json.dumps(raw))
+
+
+def _z04_z01_row():
+    return _bundled_row("Z_04", "Z_01")
 
 
 @pytest.mark.parametrize(
@@ -331,6 +337,29 @@ def test_malformed_certificate_file_exits_2(capsys, tmp_path, key, value, messag
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"samples": [{"b": True}]}, "invalid scalar true"),
+        ({"samples": [{"b": 2.0}]}, "invalid scalar 2.0"),
+        ({"samples": [{"b": None}]}, "invalid scalar null"),
+        ({"samples": [{"zz": "2"}]}, "Z_14 -> Z_10: unbound parameter 'b'"),
+        ({"samples": []}, "Z_14 -> Z_10: unbound parameter 'b'"),
+        ({"target_param": 2.0}, "invalid scalar 2.0"),
+        ({"target": {"id": "Z_10", "param": {"b": False}}}, "invalid scalar false"),
+        ({"label": ["x"]}, "label must be a string"),
+        ({"target_param": "2", "samples": [{"c": "2"}]}, "Z_14 -> Z_10: unbound parameter 'b'"),
+    ],
+)
+def test_certificate_samples_and_params_are_exact_and_bound(capsys, tmp_path, patch, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(_bundled_row("Z_14", "Z_10"), **patch)))
+    for mode in ("auto", "numeric"):
+        code, out, err = run(capsys, "degenerate", "--cert", str(path), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_certificate_file_takes_integer_scalars(capsys, tmp_path):

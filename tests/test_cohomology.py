@@ -78,7 +78,7 @@ def test_h2_reps_are_independent_cocycles():
 
 def test_cocycle_annihilator_example():
     form = delta_form(4, [(1, 3, 1), (3, 1, 1)])  # Delta_13 + Delta_31
-    basis = cocycle_annihilator(SQUARE4, form)
+    basis = cocycle_annihilator(form)
     assert [tuple(v) for v in basis] == [
         (ZERO, ONE, ZERO, ZERO),
         (ZERO, ZERO, ZERO, ONE),
@@ -139,7 +139,7 @@ def test_cohomologous():
 
 def test_wellformed_good_extension():
     form = delta_form(4, [(1, 2, 1), (2, 1, 2), (1, 3, 1), (4, 4, 1)])
-    rep = extension_wellformed(SQUARE4, form)
+    rep = extension_wellformed(SQUARE4, form, central_extension(SQUARE4, form))
     assert rep.ann_intersection_trivial
     assert rep.classes_independent
     assert rep.ann_decomposition_ok
@@ -151,13 +151,14 @@ def test_wellformed_detects_shared_annihilator():
     # annihilates the base algebra, so the extension is degenerate.
     form = delta_form(4, [(1, 4, 1), (1, 3, -1)])
     assert is_cocycle(TWO_OUTPUT4, mat(form))
-    rep = extension_wellformed(TWO_OUTPUT4, form)
+    rep = extension_wellformed(TWO_OUTPUT4, form, central_extension(TWO_OUTPUT4, form))
     assert not rep.ann_intersection_trivial
     assert not rep.ok
 
 
 def test_wellformed_detects_dependent_class():
-    rep = extension_wellformed(SQUARE4, delta_form(4, [(1, 1, 1)]))
+    form = delta_form(4, [(1, 1, 1)])
+    rep = extension_wellformed(SQUARE4, form, central_extension(SQUARE4, form))
     assert not rep.classes_independent
     assert not rep.ok
 
@@ -169,7 +170,7 @@ def test_two_component_extension():
     assert ext.dim == 5
     assert ext.c[0][0][3] == ONE
     assert ext.c[1][1][4] == ONE
-    rep = extension_wellformed(base, form)
+    rep = extension_wellformed(base, form, ext)
     assert rep.classes_independent
     assert not rep.ann_intersection_trivial  # e3 annihilates both
 
@@ -203,7 +204,7 @@ def invertible(draw, n=3):
 @given(forms(), invertible())
 def test_aut_action_preserves_annihilator_dimension(form, phi):
     moved = aut_action(form, phi)
-    assert len(cocycle_annihilator(3, moved)) == len(cocycle_annihilator(3, form))
+    assert len(cocycle_annihilator(moved)) == len(cocycle_annihilator(form))
 
 
 @given(forms())
@@ -348,7 +349,8 @@ def test_cohomologous_and_wellformed_match_rank_references(class_question_inputs
         forms = [basis.reps[:2]]
         forms += [(r, r + b) for b in basis.b2[:1]]  # one class twice
         for mats in forms:
-            report = extension_wellformed(A, CocycleForm(tuple(mats)))
+            form = CocycleForm(tuple(mats))
+            report = extension_wellformed(A, form, central_extension(A, form))
             want = _independent_mod_b2(basis.b2, mats)
             assert report.classes_independent == want, A.label
             answers.add(want)

@@ -7,8 +7,16 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from zinbiel5.algebra import algebra_from_entries, change_basis, zero_algebra
-from zinbiel5.catalog import certificates
+from zinbiel5 import degeneration
+from zinbiel5.algebra import (
+    algebra_from_entries,
+    annihilator,
+    change_basis,
+    derivation_dimension,
+    power_filtration,
+    zero_algebra,
+)
+from zinbiel5.catalog import certificates, family_members, list_ids
 from zinbiel5.degeneration import (
     NUMERIC_LADDER,
     DegenerationCertificate,
@@ -376,6 +384,49 @@ def test_necessary_conditions_self():
     assert not rep.der_strictly_smaller  # proper degenerations only
     assert rep.power_dims_dominate
     assert rep.ann_not_larger
+
+
+def test_necessary_conditions_on_every_same_dimension_catalog_pair(monkeypatch):
+    """The power rows pad each filtration with its last dim, as first stated."""
+    # each invariant once per algebra (the list keeps every id alive); every
+    # pair then runs the report's own logic
+    def once(fn):
+        memo = {}
+        return lambda A: memo[id(A)] if id(A) in memo else memo.setdefault(id(A), fn(A))
+
+    for fn in (derivation_dimension, power_filtration, annihilator):
+        monkeypatch.setattr(degeneration, fn.__name__, once(fn))
+    by_dim = {}
+    for A in [A for eid in list_ids() for A in family_members(eid)] + [
+        zero_algebra(n) for n in (4, 5, 6)
+    ]:
+        by_dim.setdefault(A.dim, []).append(A)
+    assert {n: len(v) for n, v in by_dim.items()} == {4: 42, 5: 100, 6: 2}
+    seen = set()
+    for algebras in by_dim.values():
+        for A in algebras:
+            for B in algebras:
+                pa = degeneration.power_filtration(A).dims
+                pb = degeneration.power_filtration(B).dims
+                powers = tuple(
+                    (f"power{k}",
+                     pa[k - 1] if k - 1 < len(pa) else pa[-1],
+                     pb[k - 1] if k - 1 < len(pb) else pb[-1])
+                    for k in range(2, A.dim + 1)
+                )
+                der = (degeneration.derivation_dimension(A),
+                       degeneration.derivation_dimension(B))
+                ann = len(degeneration.annihilator(A)), len(degeneration.annihilator(B))
+                want = NecessaryReport(
+                    der[0] < der[1],
+                    all(da >= db for _, da, db in powers),
+                    ann[0] <= ann[1],
+                    (("der", *der),) + powers + (("ann", *ann),),
+                )
+                got = necessary_conditions(A, B)
+                assert got == want, (A.label, B.label)
+                seen.add(got.power_dims_dominate)
+    assert seen == {True, False}
 
 
 # R-sets ---------------------------------------------------------------------------
