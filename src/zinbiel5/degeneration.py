@@ -399,8 +399,123 @@ def _neville_at_zero(xs, ys):
     return tab[0]
 
 
+def _lu(A):
+    """mpmath's ``LU_decomp`` of the square list A, in place.
+
+    The same steps in the same order at the caller's precision: the
+    tolerance |mnorm_1(A) * eps|, the pivot with the largest |A[k][j]| over
+    its row's reciprocal absolute sum (first strict maximum), the row swap,
+    and the ``/=`` and ``-=`` updates.  An entry that becomes zero is stored
+    as mpmath's zero, as the matrix class reads it back.  Only provably
+    idle work is left out: zero terms of the absolute sums, divisions of
+    zero, and updates that ``_changes`` finds leave an entry as it is.  So
+    every entry is bit-identical to mpmath's.  Returns the pivot rows, or
+    None when A is numerically singular or a column has no pivot.
+    """
+    zero = mpmath.mp.zero
+    n = len(A)
+    tol = abs(
+        max(mpmath.fsum([x for x in col if x], absolute=True) for col in zip(*A))
+        * mpmath.eps
+    )
+    p = []
+    for j in range(n - 1):
+        biggest, pj = 0, None
+        for k in range(j, n):
+            row = A[k]
+            mags = [abs(x) for x in row[j:] if x]
+            s = mpmath.fsum(mags)
+            if s <= tol:
+                return None
+            if row[j]:
+                current = 1 / s * mags[0]
+                if current > biggest:
+                    biggest, pj = current, k
+        if pj is None:
+            return None
+        p.append(pj)
+        A[j], A[pj] = A[pj], A[j]
+        Aj = A[j]
+        pivot = Aj[j]
+        if abs(pivot) <= tol:
+            return None
+        for i in range(j + 1, n):
+            Ai = A[i]
+            f = Ai[j] = Ai[j] and Ai[j] / pivot
+            for k in range(j + 1, n):
+                if _changes(Ai[k], f, Aj[k]):
+                    Ai[k] = Ai[k] - f * Aj[k] or zero
+    if abs(A[n - 1][n - 1]) <= tol:
+        return None
+    return p
+
+
+def _changes(a, x, y):
+    """Whether mpmath's a - x*y differs from a, for numbers at the precision.
+
+    It does when x*y is nonzero, or when x*y is a complex zero and a is
+    real (the difference is then complex).  Subtracting any other zero only
+    rounds a to the precision it already has.
+    """
+    mpc = mpmath.mpc
+    return (x and y) or (type(a) is not mpc and mpc in (type(x), type(y)))
+
+
+def _det_and_inverse(E):
+    """The determinant and inverse of the square list E, as mpmath computes them.
+
+    E holds mpmath numbers at the working precision.  det is
+    ``mpmath.det``: the signed pivot product of an LU at the working
+    precision.  The inverse is ``mpmath.inverse``: an LU at 10 more bits,
+    then one ``L_solve`` / ``U_solve`` per unit vector.  Each factorisation
+    keeps its own precision, so each decides numerical singularity where
+    mpmath does.  Returns (0, None) when E is singular.
+    """
+    zero, one = mpmath.mp.zero, mpmath.mp.one
+    n = len(E)
+    A = [[x or zero for x in row] for row in E]
+    p = _lu(A)
+    if p is None:
+        return 0, None
+    det = 1
+    for i, pi in enumerate(p):
+        if i != pi:
+            det *= -1
+    for i in range(n):
+        det *= A[i][i]
+    with mpmath.extraprec(10):
+        A = [[x or zero for x in row] for row in E]
+        p = _lu(A)
+        if p is None:
+            return 0, None
+        cols = []
+        for c in range(n):
+            b = [zero] * n
+            b[c] = one
+            for k, pk in enumerate(p):
+                b[k], b[pk] = b[pk], b[k]
+            for i in range(1, n):
+                for j in range(i):
+                    if _changes(b[i], A[i][j], b[j]):
+                        b[i] -= A[i][j] * b[j]
+            for i in range(n - 1, -1, -1):
+                for j in range(i + 1, n):
+                    if _changes(b[i], A[i][j], b[j]):
+                        b[i] -= A[i][j] * b[j]
+                b[i] /= A[i][i]
+            cols.append(b)
+    return det, [[col[i] or zero for col in cols] for i in range(n)]
+
+
 def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, branch):
-    """Numeric transport along the t-ladder with Richardson extrapolation."""
+    """Numeric transport along the t-ladder with Neville extrapolation to t = 0.
+
+    Each rung's basis gets its determinant and inverse from
+    ``_det_and_inverse``: plain-list LUs that compute what ``mpmath.det``
+    (at the working precision) and ``mpmath.inverse`` (at 10 bits more)
+    compute.  A basis that is numerically singular at any rung, including
+    one with a column left without a pivot, makes the attempt inconclusive.
+    """
     dim = source.dim
     try:
         ram = infer_ramification([e for row in basis_grid for e in row])
@@ -428,15 +543,11 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
             return evaluate_numeric(e, tval, params=params_t, branch=branch)
 
         E = [[value(e) for e in row] for row in basis_grid]
-        B = mpmath.matrix(E)
-        # mpmath's LU cannot pivot on an all-zero column; such a basis is singular
-        det = mpmath.det(B) if all(map(any, zip(*E))) else 0
-        if abs(det) == 0:
+        det, inv = _det_and_inverse(E)
+        if inv is None:
             return "inconclusive", (), None, str(mpmath.mpf(1))
         dets.append((tval, det))
-        grid = _transport(
-            dim, source.entries, E, mpmath.inverse(B).tolist(), value, mpmath.mpc(0)
-        )
+        grid = _transport(dim, source.entries, E, inv, value, mpmath.mpc(0))
         samples.append((tval, grid))
     xs = [mpmath.power(tval, mpmath.mpf(1) / ram) for tval, _ in samples]
     failures = []

@@ -287,6 +287,28 @@ def test_degenerate_wrong_basis_fails_with_exit_1(capsys, tmp_path):
     assert "failed" in out and "mismatch" in out
 
 
+def test_degenerate_rank_deficient_basis(capsys, tmp_path):
+    """A repeated basis row leaves a column with no pivot at some rung.
+
+    The numeric tier reports the sample inconclusive; the exact tier finds
+    the basis singular.
+    """
+    path = tmp_path / "cert.json"
+    rows = [{"2": "1"}, {"1": "t", "3": "1"}, {"4": "t", "5": "-1"}, {"4": "t", "5": "-1"},
+            {"5": "-t"}]
+    path.write_text(json.dumps(dict(CERT, basis=rows)))
+    code, out, err = run(capsys, "degenerate", "--cert", str(path), "--mode", "numeric",
+                         "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["mode"]) == ("inconclusive", "numeric")
+    code, out, _ = run(capsys, "degenerate", "--cert", str(path), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["mode"]) == ("failed", "exact")
+    assert payload["samples"][0]["failures"] == [["basis", "singular"]]
+
+
 def _bundled_row(source, target):
     from zinbiel5.catalog import _load
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zinbiel5 import degeneration
 from zinbiel5.algebra import (
@@ -27,6 +27,7 @@ from zinbiel5.degeneration import (
     rset_membership,
     _bound_samples,
     _branch_assignments,
+    _det_and_inverse,
     _neville_at_zero,
     _resolve_source,
     transported_constants,
@@ -254,7 +255,7 @@ def _identity_rows(n, start):
     [
         # two equal rows
         (("1", "t", "0", "0", "0"),) * 2 + _identity_rows(5, 2),
-        # two equal rows and a zero first column, where mpmath's LU cannot pivot
+        # two equal rows and a zero first column, which has no pivot
         (("0", "1", "0", "0", "0"),) * 2
         + (("0", "0", "0", "t", "-1"), ("0", "0", "t", "0", "0"), ("0", "0", "0", "0", "-t")),
     ],
@@ -313,6 +314,86 @@ def test_numeric_reports_of_all_bundled_certificates():
     for c, want in zip(certs, expected):
         got = verify_certificate(c, mode="numeric").as_dict()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), c.label
+
+
+NUMERIC_REPORT_DIGESTS = (
+    Path(__file__).resolve().parent / "data" / "numeric_report_digests.json"
+)
+
+
+@pytest.mark.parametrize("precision", [53, 512])
+def test_numeric_report_digests_at_other_precisions(precision):
+    """sha256 of every bundled certificate's canonical numeric report at 53 and 512 bits.
+
+    At 53 bits many ladders reach the LU's numerical-singularity threshold
+    (32 of the 49 certificates are inconclusive), so a change in where the
+    numeric tier factors its bases, or at what precision, shows here.
+    """
+    expected = json.loads(NUMERIC_REPORT_DIGESTS.read_text(encoding="utf-8"))
+    certs = certificates()
+    assert [rec["label"] for rec in expected] == [c.label for c in certs]
+    for c, want in zip(certs, expected):
+        got = verify_certificate(c, mode="numeric", precision=precision).as_dict()
+        digest = hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()
+        assert digest == want[str(precision)], c.label
+
+
+@st.composite
+def lu_inputs(draw):
+    """(precision, n x n spec) with real, complex and zero cells, zero columns
+    and rows duplicated up to the signs of their cells; a cell is
+    (kind, re, im, denominator).  A row whose cells only change sign ties
+    with its original in the pivot search."""
+    n = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    cell = st.tuples(
+        st.sampled_from(["0", "0c", "mpf", "mpf", "mpc", "real mpc"]),
+        small, small, st.integers(1, 7),
+    )
+    rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = ("0", 0, 0, 1)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        rows[j] = [(kind, s * re, s * im, den) for s, (kind, re, im, den) in zip(signs, rows[i])]
+    return draw(st.sampled_from([53, 64, 256, 1000])), rows
+
+
+def _lu_entry(kind, re, im, den):
+    if kind == "0":
+        return mpmath.mpf(0)
+    if kind == "0c":
+        return mpmath.mpc(0)
+    if kind == "mpf":
+        return mpmath.mpf(re) / den
+    return mpmath.mpc(mpmath.mpf(re) / den, 0 if kind == "real mpc" else mpmath.mpf(im) / den)
+
+
+@settings(max_examples=300)
+@given(lu_inputs())
+def test_list_lu_matches_mpmath(spec):
+    """_det_and_inverse is bit-identical to mpmath.det and mpmath.inverse, types included."""
+    precision, rows = spec
+    with mpmath.workprec(precision):
+        E = [[_lu_entry(*c) for c in row] for row in rows]
+        got_det, got_inv = _det_and_inverse(E)
+        try:
+            want_det = mpmath.det(mpmath.matrix(E))
+            want_inv = mpmath.inverse(mpmath.matrix(E)).tolist()
+        except (ZeroDivisionError, TypeError):
+            assert got_det == 0 and got_inv is None
+            return
+    assert type(got_det) is type(want_det) and got_det == want_det
+    if want_det == 0:  # singular at the working precision, not at 10 bits more
+        assert got_inv is None
+        return
+    assert [[type(x) for x in row] for row in got_inv] == [
+        [type(x) for x in row] for row in want_inv
+    ]
+    assert got_inv == want_inv
 
 
 EXACT_GRIDS = Path(__file__).resolve().parent / "data" / "exact_grids.json"
