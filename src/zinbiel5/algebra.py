@@ -21,6 +21,7 @@ from .exactmath import (
     ExactMatrix,
     GaussianRational,
     _cleared,
+    _cleared_basis,
     grat,
     kernel_basis_sparse,
     nullity_mod_p,
@@ -96,11 +97,22 @@ def _integer_tensor(A: Algebra):
     the nonzero D*c[i][j][k] as ints, k ascending."""
     n = A.dim
     D, flat = _cleared(((i, j, k), v) for i, plane in enumerate(A.c)
-                       for j, vec in enumerate(plane) for k, v in enumerate(vec))
+                       for j, vec in enumerate(plane) for k, v in enumerate(vec)
+                       if v is not ZERO)
     T = [[[] for _ in range(n)] for _ in range(n)]
     for (i, j, k), (re, im) in flat.items():
         T[i][j].append((k, re, im))
     return T, D
+
+
+def _system_constants(A: Algebra):
+    """[i][j] -> [(k, D*c[i][j][k])], k ascending, the nonzero constants
+    scaled as in :func:`_integer_tensor`: an int when real, else a
+    GaussianRational.  Scaling every equation of a homogeneous system by
+    D > 0 changes neither its kernel nor its pivots."""
+    T, _ = _integer_tensor(A)
+    return [[[(k, GaussianRational(re, im) if im else re) for k, re, im in vec]
+             for vec in plane] for plane in T]
 
 
 def _ints(x: Sequence):
@@ -226,9 +238,15 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
 
 
 def _components(A: Algebra):
-    """The structure tensor read as n bilinear forms: form k is (i, j) -> c[i][j][k]."""
+    """The structure tensor read as n bilinear forms: form k is
+    (i, j) -> D*c[i][j][k], entries as in :func:`_system_constants`."""
     n = A.dim
-    return [[[A.c[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
+    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(_system_constants(A)):
+        for j, vec in enumerate(plane):
+            for k, v in vec:
+                mats[k][i][j] = v
+    return mats
 
 
 def _annihilator_rows(mats):
@@ -246,13 +264,6 @@ def _annihilator_rows(mats):
 def annihilator(A: Algebra):
     """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors."""
     return kernel_basis_sparse(_annihilator_rows(_components(A)), A.dim)
-
-
-def _span_basis(vectors):
-    if not vectors:
-        return []
-    red, piv = ExactMatrix(vectors).rref()
-    return [red.rows[r] for r in range(len(piv))]
 
 
 @dataclass(frozen=True)
@@ -274,16 +285,16 @@ def power_filtration(A: Algebra) -> PowerFiltration:
     T, D = _integer_tensor(A)
     while True:
         k = len(powers) + 1  # computing A^k
-        prods = []
+        prods = []  # each product times its denominator, as a system row
         for p in range(1, k):
             q = k - p
             for u in powers[p - 1]:
                 for v in powers[q - 1]:
-                    re, im, d = _product(T, D, u, v)
-                    if any(re) or any(im):
-                        prods.append(_scaled(re, im, d))
-        new_basis = _span_basis(prods)
-        d = len(new_basis)
+                    re, im, _ = _product(T, D, u, v)
+                    prods.append({m: GaussianRational(a, b) if b else a
+                                  for m, (a, b) in enumerate(zip(re, im)) if a or b})
+        basis = _cleared_basis(prods)
+        d = len(basis)
         if d == 0:
             dims.append(0)
             return PowerFiltration(tuple(dims), True, len(dims) - 1)
@@ -291,19 +302,14 @@ def power_filtration(A: Algebra) -> PowerFiltration:
             dims.append(d)
             return PowerFiltration(tuple(dims), False, None)
         dims.append(d)
-        powers.append([_ints(b) for b in new_basis])
-
-
-def _nonzero_constants(A: Algebra):
-    """The nonzero structure constants: [i][j] -> [(k, c[i][j][k])], k ascending."""
-    return [[[(k, v) for k, v in enumerate(A.c[i][j]) if v] for j in range(A.dim)]
-            for i in range(A.dim)]
+        powers.append(basis)
 
 
 def _derivation_rows(A: Algebra):
-    """Sparse rows of the Leibniz system in unknowns D[r][s] -> col r*n+s."""
+    """Sparse rows of the Leibniz system in unknowns D[r][s] -> col r*n+s,
+    each equation scaled as in :func:`_system_constants`."""
     n = A.dim
-    by_ij = _nonzero_constants(A)
+    by_ij = _system_constants(A)
     by_jm = [[[] for _ in range(n)] for _ in range(n)]  # [j][m] -> [(p, c[p][j][m])]
     by_im = [[[] for _ in range(n)] for _ in range(n)]  # [i][m] -> [(q, c[i][q][m])]
     for i in range(n):
@@ -319,10 +325,10 @@ def _derivation_rows(A: Algebra):
                 row = {k * n + m: v for k, v in prod}
                 for p, v in by_jm[j][m]:
                     col = i * n + p
-                    row[col] = row.get(col, ZERO) - v
+                    row[col] = row[col] - v if col in row else -v
                 for q, v in by_im[i][m]:
                     col = j * n + q
-                    row[col] = row.get(col, ZERO) - v
+                    row[col] = row[col] - v if col in row else -v
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     rows.append(row)

@@ -43,8 +43,8 @@ from .degeneration import (
     rset_membership,
     verify_certificate,
 )
-from .exactmath import GaussianRational, grat
-from .series import NonExpandable, evaluate_scalar
+from .exactmath import ELIMINATIONS, GaussianRational, grat
+from .series import ScalarValueError, evaluate_scalar
 
 __all__ = [
     "CatalogError",
@@ -206,7 +206,7 @@ def _coerce_param(value) -> GaussianRational:
     if isinstance(value, str):
         try:
             return evaluate_scalar(value)
-        except NonExpandable as exc:  # a symbol or t in a parameter value
+        except ScalarValueError as exc:  # a symbol or t in a parameter value
             raise CatalogError(f"parameter value {value[:40]!r}: {exc}") from None
     return grat(value)
 
@@ -699,9 +699,11 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteReport:
     checks: tuple
-    # ((check name, wall seconds), ...) in run order: a sidecar, outside the
-    # report's dict, JSON and equality
+    # ((check name, wall seconds), ...) in run order, and ((check name,
+    # {elimination path: systems}), ...) from exactmath.ELIMINATIONS: sidecars,
+    # outside the report's dict, JSON and equality
     timings: tuple = field(default=(), compare=False)
+    counters: tuple = field(default=(), compare=False)
 
     @property
     def ok(self) -> bool:
@@ -1096,14 +1098,16 @@ class _Suite:
         unknown = [c for c in wanted if c not in CHECK_ORDER]
         if unknown:
             raise CatalogError(f"unknown checks {unknown}")
-        results, timings = [], []
+        results, timings, counters = [], [], []
         for name in CHECK_ORDER:
             if name not in wanted:
                 continue
+            before = dict(ELIMINATIONS)
             start = perf_counter()
             results.append(getattr(self, f"check_{name}")())
             timings.append((name, perf_counter() - start))
-        return SuiteReport(tuple(results), tuple(timings))
+            counters.append((name, {k: n - before[k] for k, n in ELIMINATIONS.items()}))
+        return SuiteReport(tuple(results), tuple(timings), tuple(counters))
 
 
 def labels_base(labels):

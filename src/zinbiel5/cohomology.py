@@ -14,8 +14,7 @@ from .algebra import (
     Algebra,
     _annihilator_rows,
     _components,
-    _nonzero_constants,
-    _span_basis,
+    _system_constants,
     algebra_from_entries,
     annihilator,
 )
@@ -89,25 +88,29 @@ def _sym_terms(by_ij, j: int, k: int):
     """Nonzero coordinates of e_j e_k + e_k e_j as [(m, coeff)], m ascending."""
     acc = {}
     for m, v in by_ij[j][k] + by_ij[k][j]:
-        acc[m] = acc.get(m, ZERO) + v
+        acc[m] = acc[m] + v if m in acc else v
     return sorted((m, v) for m, v in acc.items() if v)
 
 
 def is_cocycle(A: Algebra, mat: ExactMatrix) -> bool:
-    """Does ``mat`` satisfy every equation of the cocycle system?"""
-    x = _vec(mat)
+    """Does ``mat`` satisfy every equation of the cocycle system?
+
+    Only the nonzero entries of ``mat`` are multiplied, by the rows' entries
+    (ints for a real algebra)."""
+    x = {c: v for c, v in enumerate(_vec(mat)) if v}
     return not any(
-        sum((v * x[c] for c, v in row.items()), ZERO) for row in _cocycle_rows(A)
+        sum((x[c] * v for c, v in row.items() if c in x), ZERO) for row in _cocycle_rows(A)
     )
 
 
 def _cocycle_rows(A: Algebra):
     """Sparse rows of theta(e_i e_j, e_k) = theta(e_i, e_j e_k + e_k e_j).
 
-    The unknowns are theta[i][j] -> column i*n+j.
+    The unknowns are theta[i][j] -> column i*n+j; each equation is scaled
+    as in :func:`~zinbiel5.algebra._system_constants`.
     """
     n = A.dim
-    by_ij = _nonzero_constants(A)
+    by_ij = _system_constants(A)
     sym = [[_sym_terms(by_ij, j, k) for k in range(n)] for j in range(n)]
     rows = []
     for i in range(n):
@@ -117,7 +120,7 @@ def _cocycle_rows(A: Algebra):
                 row = {m * n + k: v for m, v in prod}
                 for m, v in sym[j][k]:
                     col = i * n + m
-                    row[col] = row.get(col, ZERO) - v
+                    row[col] = row[col] - v if col in row else -v
                 row = {c: v for c, v in row.items() if v}
                 if row:
                     rows.append(row)
@@ -141,9 +144,12 @@ def cocycle_space(A: Algebra):
 def coboundary_space(A: Algebra):
     """Basis of B^2(A) = { (x,y) -> f(xy) }, RREF-canonical."""
     n = A.dim
-    cand = [vec for vec in (tuple(x for row in m for x in row) for m in _components(A))
-            if any(vec)]
-    return [_unvec(v, n) for v in _span_basis(cand)]
+    pivots = _sparse_rref(
+        {i * n + j: v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+        for m in _components(A)
+    )
+    return [_unvec([pivots[p].get(c, ZERO) for c in range(n * n)], n)
+            for p in sorted(pivots)]
 
 
 def coboundary_dimension(A: Algebra) -> int:

@@ -32,6 +32,7 @@ from .series import (
     NonExpandable,
     PuiseuxSeries,
     Radical,
+    ScalarValueError,
     TConst,
     _to_mpmath,
     collect_sqrt_keys,
@@ -332,7 +333,7 @@ def _bound_samples(cert: DegenerationCertificate):
             for name, expr in cert.source_params:
                 params[name] = evaluate_scalar(expr, params)
             tparams = {name: evaluate_scalar(expr, params) for name, expr in cert.target_params}
-        except NonExpandable as exc:
+        except ScalarValueError as exc:
             raise ValueError(f"{cert.label}: {exc}") from None
         yield params, _resolve_target(cert.target, tparams, cert.target_pad)
 

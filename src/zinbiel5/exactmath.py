@@ -6,26 +6,34 @@ coefficients) runs on :class:`GaussianRational`, a pair of
 case of every catalog structure constant) take a real-only branch that costs
 one ``Fraction`` operation.
 
-One eliminator, :func:`_rref_loop`, row-reduces every linear system over
-Q(i) or GF(P): the dense ``ExactMatrix`` methods and the sparse
-derivation/cocycle systems (:func:`rank_sparse`, :func:`kernel_basis_sparse`)
-through :func:`_sparse_rref`, and both modular paths.  ``ExactMatrix.det``
-keeps its own elimination as an independent oracle for rank.
+Every linear system, dense (``ExactMatrix``) or sparse (:func:`rank_sparse`,
+:func:`kernel_basis_sparse`), is row-reduced by :func:`_eliminate`; its rows
+are {col: coeff} dicts whose entries are ints or GaussianRationals.
+``ExactMatrix.det`` keeps its own elimination as an independent oracle for
+rank.
 
-One prime serves both modular paths: the 127-bit Proth prime P, with i
-mapped to a square root s of -1.  Rows are cleared to Gaussian integers
-first, so no denominator is ever inverted mod P.  A Q(i) system with a
+A real system (the derivation, cocycle, annihilator and power systems of a
+real algebra, whose builders pass D times the structure constants as ints)
+is cleared to integer rows once and reduced fraction-free (Bareiss 1968) in
+Python ints by :func:`_int_rref`: row <- L*row - f*pivot, each row kept
+primitive by ``math.gcd``.  No ``Fraction`` is built for a rank; the RREF
+entries a caller reads are built once each, as v/L.
+
+One prime serves the complex and modular paths: the 127-bit Proth prime P,
+with i mapped to a square root s of -1.  Rows are cleared to Gaussian
+integers first, so no denominator is ever inverted mod P.  A system with a
 non-real entry is not eliminated in ``Fraction`` arithmetic first:
 :func:`_certified_rref` eliminates it mod P under both embeddings i -> ±s,
 rebuilds the RREF by rational reconstruction and proves it exactly over
 Z[i] (a kernel check plus the mod-P rank bound), so its answer is exact, not
 Monte Carlo.  It trusts only P's primality (a Proth certificate, tested) and
 that check; when anything fails it logs the reason at DEBUG on
-``zinbiel5.exactmath`` and the ``Fraction`` loop runs instead.  Real systems
-always take the loop.  The Monte-Carlo rank :func:`nullity_mod_p` is the
-first of those two eliminations alone, unproved: it can only *underestimate*
-rank, and its one caller in the suite, the ``fingerprints`` check,
-cross-checks it against the exact path.
+``zinbiel5.exactmath`` and the ``Fraction`` loop :func:`_rref_loop` runs
+instead, the one use of that loop over Q(i).  The Monte-Carlo rank
+:func:`nullity_mod_p` is the first of those two eliminations alone,
+unproved: it can only *underestimate* rank, and its one caller in the
+suite, the ``fingerprints`` check, cross-checks it against the exact path.
+``ELIMINATIONS`` counts the systems taken by each path.
 """
 from __future__ import annotations
 
@@ -44,6 +52,12 @@ __all__ = [
     "rank_sparse",
     "nullity_mod_p",
 ]
+
+# Systems row-reduced so far, per path: "integer" (a real system, reduced
+# fraction-free), "certified" (a complex system, proved from GF(P)),
+# "fallback" (a complex system the certified path left to the Fraction loop)
+# and "modular" (the Monte-Carlo rank of nullity_mod_p).
+ELIMINATIONS = dict.fromkeys(("integer", "certified", "fallback", "modular"), 0)
 
 # Both constructors (``GaussianRational()`` and ``_make``) store a zero
 # imaginary part as this one object, so "is real" is an identity test.
@@ -471,25 +485,141 @@ def _reduce_against(row: dict, pivots: dict, p=None) -> dict:
 
 
 def _sparse_rref(rows):
-    """Online RREF of sparse Q(i) rows.  Returns dict pivot_col -> row dict.
+    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict.
 
     Each pivot row is normalized (1 at its pivot, its least column) and
-    kept zero in every other pivot column.  A system with a non-real entry
-    is first tried on the certified modular path (:func:`_certified_rref`);
-    :func:`_rref_loop` is its fallback and the path of every other system.
+    kept zero in every other pivot column.  Its entries are
+    GaussianRationals, whatever the path :func:`_eliminate` took.
+    """
+    pivots, integral = _eliminate(rows)
+    if not integral:
+        return pivots
+    return {p: {c: _make(Fraction(v, row[p]), _F0) for c, v in row.items()}
+            for p, row in pivots.items()}
+
+
+def _cleared_basis(rows):
+    """A basis of the span of sparse rows (as :func:`_eliminate` takes
+    them), each vector as (d, {col: (re, im)}) cleared to Z[i]: the
+    primitive integer pivot rows of a real system, else the RREF rows."""
+    pivots, integral = _eliminate(rows)
+    if integral:
+        return [(1, {c: (v, 0) for c, v in row.items()}) for row in pivots.values()]
+    return [_cleared(row.items()) for row in pivots.values()]
+
+
+def _eliminate(rows):
+    """Row-reduce sparse rows whose nonzero entries are ints or
+    GaussianRationals.  Returns (pivots, integral).
+
+    A real system is cleared to integer rows once and reduced fraction-free
+    (:func:`_int_rref`): ``integral`` is True and each pivot row is an
+    integer multiple of its RREF row.  A system with a non-real entry is
+    first tried on the certified modular path (:func:`_certified_rref`),
+    with the ``Fraction`` loop :func:`_rref_loop` as its fallback, and its
+    pivot rows are the RREF rows over Q(i).
     """
     rows = list(rows)
-    if any(v.im is not _F0 for row in rows for v in row.values()):
-        try:
-            return _certified_rref(rows)
-        except _Uncertified as exc:
-            _log_fallback(exc)
-    return _rref_loop(rows)
+    ints = _integer_rows(rows)
+    if ints is not None:
+        ELIMINATIONS["integer"] += 1
+        return _int_rref(ints), True
+    rows = _qi_rows(rows)
+    try:
+        pivots = _certified_rref(rows)
+        ELIMINATIONS["certified"] += 1
+        return pivots, False
+    except _Uncertified as exc:
+        _log_fallback(exc)
+    ELIMINATIONS["fallback"] += 1
+    return _rref_loop(rows), False
+
+
+def _qi_rows(rows):
+    """The rows with every entry a GaussianRational: a system that is not
+    real may still have rows of ints."""
+    if any(type(v) is int for row in rows for v in row.values()):
+        return [{c: grat(v) for c, v in row.items()} for row in rows]
+    return rows
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators, as an int row; None as
+    soon as an entry is not real."""
+    out = []
+    for row in rows:
+        if all(type(v) is int and v for v in row.values()):
+            out.append(row)
+            continue
+        d = 1
+        for v in row.values():
+            if type(v) is not int:
+                if v.im is not _F0:
+                    return None
+                d = lcm(d, v.re.denominator)
+        out.append({c: v * d if type(v) is int
+                    else v.re.numerator * (d // v.re.denominator)
+                    for c, v in row.items() if v})
+    return out
+
+
+def _int_rref(rows):
+    """Fraction-free RREF of integer rows (Bareiss 1968): dict pivot_col ->
+    primitive int row, positive at its pivot (its least column) and zero in
+    every other pivot column.  Dividing a row by its pivot entry gives its
+    RREF row.  The input rows are not modified."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            _int_subtract(row, c, pivots[c])
+        if not row:
+            continue
+        lead = min(row)
+        _make_primitive(row, lead)
+        # eliminate the new pivot column from existing pivot rows
+        for p, prow in pivots.items():
+            if lead in prow:
+                _int_subtract(prow, lead, row)
+                _make_primitive(prow, p)
+        pivots[lead] = row
+    return pivots
+
+
+def _int_subtract(row: dict, p: int, pivot: dict) -> None:
+    """row <- (L*row - f*pivot) / gcd(L, f) in place, with L = pivot[p] > 0
+    and f = row[p], which clears column p; zeros are dropped."""
+    L, f = pivot[p], row[p]
+    g = gcd(L, f)
+    if g != 1:
+        L //= g
+        f //= g
+    if L != 1:
+        for c in row:
+            row[c] *= L
+    for c, v in pivot.items():
+        nv = row.get(c, 0) - f * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+def _make_primitive(row: dict, p: int) -> None:
+    """Divide a nonzero int row by the gcd of its entries, signed so that
+    row[p] > 0."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
 
 def _rref_loop(rows, p=None):
-    """The row-by-row elimination behind :func:`_sparse_rref`: entries are
-    GaussianRationals, or ints in [0, p) for a prime ``p``."""
+    """Row-by-row RREF over GF(p) for a prime ``p``, entries ints in [0, p);
+    with ``p=None``, over Q(i) in ``Fraction`` arithmetic, the fallback of
+    the certified path for a complex system."""
     pivots: dict[int, dict] = {}
     for row in rows:
         red = _reduce_against(row, pivots, p)
@@ -500,7 +630,7 @@ def _rref_loop(rows, p=None):
             inv = ONE / red[lead]
             norm = {c: v * inv for c, v in red.items()}
         else:
-            inv = pow(red[lead], p - 2, p)
+            inv = pow(red[lead], -1, p)
             norm = {c: v * inv % p for c, v in red.items()}
         # eliminate the new pivot column from existing pivot rows
         for prow in pivots.values():
@@ -571,7 +701,7 @@ def _gaussian_integer_row(row: dict) -> dict:
 
 
 def _image_mod_p(rows, s: int):
-    """The rows cleared to Gaussian integers and mapped to GF(P) by i -> s."""
+    """The Q(i) rows cleared to Gaussian integers and mapped to GF(P) by i -> s."""
     for row in rows:
         yield {
             c: m
@@ -652,13 +782,13 @@ def _certified_rref(rows):
 
 def rank_sparse(rows, ncols: int) -> int:
     """Rank of a sparse system given as iterables of {col: coeff} rows."""
-    return len(_sparse_rref(rows))
+    return len(_eliminate(rows)[0])
 
 
 def kernel_basis_sparse(rows, ncols: int):
     """Kernel basis of a sparse homogeneous system, RREF-canonical.
 
-    ``rows`` is an iterable of {col: GaussianRational} dicts.  Returns a list
+    ``rows`` is an iterable of {col: int or GaussianRational} dicts.  Returns a list
     of dense tuple vectors of length ncols, one per free column, ordered by
     free column index.
     """
@@ -683,14 +813,20 @@ def kernel_basis_sparse(rows, ncols: int):
 def nullity_mod_p(rows, ncols: int) -> int:
     """Nullity of the system reduced mod the prime P of the certified path.
 
-    The rows are cleared to Gaussian integers first, so no entry has a
-    denominator to invert.  Specialization can only lower rank, so this is an
-    *upper bound* on the true nullity; with the 127-bit P it is almost surely
-    exact.  In the one case the reduction cannot be made (a row's common
-    denominator divisible by P) the exact rank is used instead.
+    The rows are cleared to integers (a real system, as in :func:`_eliminate`)
+    or Gaussian integers first, so no entry has a denominator to invert.
+    Specialization can only lower rank, so this is an *upper bound* on the
+    true nullity; with the 127-bit P it is almost surely exact.  In the one
+    case a complex system cannot be reduced (a row's common denominator
+    divisible by P) the exact rank is used instead.
     """
     rows = list(rows)
+    ELIMINATIONS["modular"] += 1
+    ints = _integer_rows(rows)
+    if ints is not None:
+        image = ({c: m for c, v in row.items() if (m := v % _CERT_P)} for row in ints)
+        return ncols - len(_rref_loop(image, _CERT_P))
     try:
-        return ncols - len(_rref_loop(_image_mod_p(rows, _CERT_S), _CERT_P))
+        return ncols - len(_rref_loop(_image_mod_p(_qi_rows(rows), _CERT_S), _CERT_P))
     except _Uncertified:
         return ncols - rank_sparse(rows, ncols)

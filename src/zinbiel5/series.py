@@ -25,6 +25,7 @@ from .exactmath import ONE, ZERO, GaussianRational, grat
 
 __all__ = [
     "NonExpandable",
+    "ScalarValueError",
     "TExpression",
     "TNum",
     "TImag",
@@ -71,6 +72,14 @@ MAX_NESTING = 32
 
 class NonExpandable(Exception):
     """The exact tier cannot represent this value; fall back to numerics."""
+
+
+class ScalarValueError(NonExpandable, ValueError):
+    """An expression has no exact scalar value: an unbound name, t with no
+    value, or an irrational power.  :func:`evaluate_scalar` raises it as a
+    data error (``ValueError``); it stays a ``NonExpandable``, which that
+    function has always raised for these cases, for the callers that catch
+    that."""
 
 
 # ---------------------------------------------------------------------------
@@ -1061,13 +1070,16 @@ def evaluate_scalar(expr, params=None, tval=None) -> GaussianRational:
     """Evaluate an expression to a Gaussian rational.
 
     The expression must be t-free unless tval supplies a rational value
-    for the deformation variable.
+    for the deformation variable.  An unbound name, t without a value or an
+    irrational value raises ``ScalarValueError``, a ``ValueError``.
     """
     e = parse_expression(expr)
     try:
         return _evaluate(e, _ScalarContext(params, tval))
     except ZeroDivisionError:
         raise ValueError(f"division by zero in {to_text(e)[:40]!r}") from None
+    except NonExpandable as exc:
+        raise ScalarValueError(str(exc)) from None
 
 
 def evaluate_numeric(expr, tval, params=None, branch=None):

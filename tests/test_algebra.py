@@ -11,6 +11,7 @@ from zinbiel5.algebra import (
     IdentityReport,
     PowerFiltration,
     _derivation_rows,
+    _integer_tensor,
     algebra_from_entries,
     annihilator,
     change_basis,
@@ -352,10 +353,19 @@ def _dense_derivation_rows(A):
     return rows
 
 
+def _assert_rows_are_dense_rows_times_d(A, got, dense):
+    """Each built row, in order, is the dense loop's row times D, the common
+    denominator of A's constants; every entry is an int when A is real."""
+    D = _integer_tensor(A)[1]
+    got = [list(row.items()) for row in got]
+    assert got == [[(c, v * D) for c, v in row.items()] for row in dense]
+    if all(not v.im for *_, v in A.entries()):
+        assert all(type(v) is int for row in got for _, v in row)
+
+
 @given(sparse_algebras())
 def test_derivation_rows_match_dense_loop(A):
-    got = [list(row.items()) for row in _derivation_rows(A)]
-    assert got == [list(row.items()) for row in _dense_derivation_rows(A)]
+    _assert_rows_are_dense_rows_times_d(A, _derivation_rows(A), _dense_derivation_rows(A))
 
 
 def _dense_cocycle_rows(A):
@@ -387,8 +397,7 @@ def _dense_cocycle_rows(A):
 
 @given(sparse_algebras())
 def test_cocycle_rows_match_dense_loop(A):
-    got = [list(row.items()) for row in _cocycle_rows(A)]
-    assert got == [list(row.items()) for row in _dense_cocycle_rows(A)]
+    _assert_rows_are_dense_rows_times_d(A, _cocycle_rows(A), _dense_cocycle_rows(A))
 
 
 # ---------------------------------------------------------------------------

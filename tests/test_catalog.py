@@ -285,6 +285,19 @@ class TestSuite:
         assert bare.as_json() == suite_report.as_json()
         assert "timings" not in json.loads(suite_report.as_json())
 
+    def test_every_suite_system_takes_the_integer_path(self, suite_report):
+        assert [name for name, _ in suite_report.counters] == list(CHECK_ORDER)
+        totals = {}
+        for _, counts in suite_report.counters:
+            for path, n in counts.items():
+                totals[path] = totals.get(path, 0) + n
+        # all real: no certified system, and none left to the Fraction loop
+        assert totals["fallback"] == totals["certified"] == 0
+        assert totals["integer"] > 0 and totals["modular"] > 0
+        bare = cat.SuiteReport(suite_report.checks)
+        assert bare.counters == () and bare == suite_report
+        assert "counters" not in json.loads(suite_report.as_json())
+
 
 class TestMutationSeam:
     """A deliberately corrupted tensor must be caught and located."""

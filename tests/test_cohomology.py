@@ -20,6 +20,7 @@ from zinbiel5.cohomology import (
     delta_form,
     extension_wellformed,
     h2,
+    _cocycle_rows,
     is_cocycle,
 )
 from zinbiel5.exactmath import ONE, ZERO, ExactMatrix, grat
@@ -268,6 +269,31 @@ def _satisfies_cocycle_definition(base, m):
 @given(algebras_with_forms())
 def test_is_cocycle_matches_definition(case):
     base, m = case
+    assert is_cocycle(base, m) == _satisfies_cocycle_definition(base, m)
+
+
+@st.composite
+def real_algebras_with_qi_forms(draw):
+    """A real algebra with fractional constants, and a real or complex form:
+    a combination of cocycles or an arbitrary form."""
+    n = draw(st.integers(2, 3))
+    idx = st.integers(1, n)
+    coeff = st.sampled_from(["1", "-1", "2", "1/2", "-3/4"])
+    base = algebra_from_entries(n, draw(st.lists(st.tuples(idx, idx, idx, coeff), max_size=4)))
+    vals = st.sampled_from(["0", "1", "-2", "1/3", "i", "1-1/2*i"]).map(grat)
+    z2 = cocycle_space(base)
+    if z2 and draw(st.booleans()):
+        total = ExactMatrix.zeros(n, n)
+        for z in z2:
+            total = total + z * draw(vals)
+        return base, total
+    return base, ExactMatrix([[draw(vals) for _ in range(n)] for _ in range(n)])
+
+
+@given(real_algebras_with_qi_forms())
+def test_is_cocycle_on_integer_rows_matches_definition(case):
+    base, m = case
+    assert all(type(v) is int for row in _cocycle_rows(base) for v in row.values())
     assert is_cocycle(base, m) == _satisfies_cocycle_definition(base, m)
 
 

@@ -2,7 +2,7 @@ import logging
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zinbiel5 import exactmath
 from zinbiel5.exactmath import (
@@ -272,6 +272,68 @@ def test_certified_prime_is_a_proth_prime():
     assert pow(29, (P - 1) // 2, P) == P - 1  # Proth's theorem: P is prime
     assert P % 4 == 1 and P.bit_length() == 127
     assert exactmath._CERT_S**2 % P == P - 1
+
+
+# ---------------------------------------------------------------------------
+# fraction-free integer elimination of real systems
+# ---------------------------------------------------------------------------
+
+# a real entry as the system builders pass it (an int) or as a real
+# GaussianRational, with fractional, negative and large numerators
+real_entries = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(2**70), 2**70),
+    st.builds(GaussianRational, small_fractions),
+    st.builds(
+        lambda n, d: GaussianRational(Fraction(n, d)),
+        st.integers(-(2**70), 2**70),
+        st.integers(1, 2**40),
+    ),
+).filter(bool)
+
+
+@st.composite
+def real_systems(draw):
+    """(rows, ncols): sparse real rows, some empty, with a duplicate row and
+    a dependent row (a combination of two others) mixed in."""
+    ncols = draw(st.integers(1, 6))
+    cols = st.integers(0, ncols - 1)
+    rows = draw(st.lists(st.dictionaries(cols, real_entries, max_size=ncols), max_size=8))
+    if rows and draw(st.booleans()):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        r, q = rows[0], rows[-1]
+        comb = {c: a * grat(r.get(c, 0)) + b * grat(q.get(c, 0)) for c in r.keys() | q.keys()}
+        rows.append({c: v for c, v in comb.items() if v})
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[k] for k in order], ncols
+
+
+@given(real_systems())
+@example(([{0: 3}, {0: -(2**80)}, {}], 1))
+@example(([{0: GaussianRational(Fraction(-2, 3))}, {0: 4}], 1))
+def test_integer_path_matches_fraction_loop(system):
+    rows, ncols = system
+    before = [dict(row) for row in rows]
+    counts = dict(exactmath.ELIMINATIONS)
+    loop = exactmath._rref_loop([{c: grat(v) for c, v in row.items()} for row in rows])
+    assert exactmath._sparse_rref(rows) == loop
+    assert rank_sparse(rows, ncols) == len(loop)
+    assert nullity_mod_p(rows, ncols) == ncols - len(loop)
+    assert rows == before  # the input rows are not modified
+    assert exactmath.ELIMINATIONS["integer"] == counts["integer"] + 2
+    assert exactmath.ELIMINATIONS["fallback"] == counts["fallback"]
+
+
+def test_integer_path_keeps_pivot_rows_primitive():
+    pivots, integral = exactmath._eliminate([{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}])
+    assert integral
+    assert pivots == {0: {0: 3, 2: -1}, 1: {1: 1, 2: 1}}
+    assert exactmath._sparse_rref([{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}]) == {
+        0: {0: ONE, 2: grat("-1/3")},
+        1: {1: ONE, 2: ONE},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,15 @@ def test_scalar_evaluation():
         evaluate_scalar("1/(a-a)", {"a": a})
 
 
+def test_scalar_without_a_value_is_a_value_error():
+    for text, message in (("zz", "unbound parameter 'zz'"),
+                          ("t", "the deformation variable has no scalar value"),
+                          ("sqrt(5)", r"sqrt\(5\) is irrational")):
+        with pytest.raises(ValueError, match=message):
+            evaluate_scalar(text)
+    assert evaluate_scalar("t", tval=2) == grat(2)
+
+
 def test_int_root_is_exact_beyond_float_range():
     big = 10**100 + 1
     assert _int_root(big**3, 3) == big
