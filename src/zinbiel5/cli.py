@@ -105,7 +105,7 @@ def _entries_text(A: Algebra) -> list:
 
 
 def _counts_text(counts: dict) -> str:
-    """Systems per elimination path, as ``integer=12 certified=0 ...``."""
+    """Systems per elimination ring, as ``integer=12 gaussian=0 ...``."""
     return " ".join(f"{k}={n}" for k, n in counts.items())
 
 

@@ -7,39 +7,35 @@ case of every catalog structure constant) take a real-only branch that costs
 one ``Fraction`` operation.
 
 Every linear system, dense (``ExactMatrix``) or sparse (:func:`rank_sparse`,
-:func:`kernel_basis_sparse`), is row-reduced by :func:`_eliminate`; its rows
-are {col: coeff} dicts whose entries are ints or GaussianRationals.
-``ExactMatrix.det`` keeps its own elimination as an independent oracle for
-rank.
+:func:`kernel_basis_sparse`, :func:`nullity_mod_p`), is row-reduced by one
+Gauss-Jordan loop, :func:`_gauss_jordan`, given the two row operations of its
+ring.  Its rows are {col: coeff} dicts, cleared of denominators once:
 
-A real system (the derivation, cocycle, annihilator and power systems of a
-real algebra, whose builders pass D times the structure constants as ints)
-is cleared to integer rows once and reduced fraction-free (Bareiss 1968) in
-Python ints by :func:`_int_rref`: row <- L*row - f*pivot, each row kept
-primitive by ``math.gcd``.  No ``Fraction`` is built for a rank; the RREF
-entries a caller reads are built once each, as v/L.
+* over Z, a real system (the derivation, cocycle, annihilator and power
+  systems of a real algebra, whose builders pass D times the structure
+  constants as ints): row <- (L*row - f*pivot)/gcd(L, f), with L the
+  pivot entry, each row kept primitive and positive at its pivot;
+* over Z[i], a system with a non-real entry, as {col: (re, im)} ints: the
+  same with f a Gaussian integer, and a row whose pivot entry is not real
+  is multiplied by its conjugate first, so every pivot entry is a positive
+  int;
+* over GF(P), the Monte-Carlo rank :func:`nullity_mod_p`: the cleared rows
+  mod the 127-bit Proth prime P, with i mapped to a square root s of -1.
 
-One prime serves the complex and modular paths: the 127-bit Proth prime P,
-with i mapped to a square root s of -1.  Rows are cleared to Gaussian
-integers first, so no denominator is ever inverted mod P.  A system with a
-non-real entry is not eliminated in ``Fraction`` arithmetic first:
-:func:`_certified_rref` eliminates it mod P under both embeddings i -> ±s,
-rebuilds the RREF by rational reconstruction and proves it exactly over
-Z[i] (a kernel check plus the mod-P rank bound), so its answer is exact, not
-Monte Carlo.  It trusts only P's primality (a Proth certificate, tested) and
-that check; when anything fails it logs the reason at DEBUG on
-``zinbiel5.exactmath`` and the ``Fraction`` loop :func:`_rref_loop` runs
-instead, the one use of that loop over Q(i).  The Monte-Carlo rank
-:func:`nullity_mod_p` is the first of those two eliminations alone,
-unproved: it can only *underestimate* rank, and its one caller in the
-suite, the ``fingerprints`` check, cross-checks it against the exact path.
-``ELIMINATIONS`` counts the systems taken by each path.
+Z and Z[i] are integral domains and the work is fraction-free, so the RREF
+is exact with no proof step; no ``Fraction`` is built during elimination,
+and the RREF entries a caller reads are built once each, as v/L.  The cost
+is coefficient growth on large dense systems (a random dense full-rank
+80 x 80 Q(i) matrix takes seconds); the systems here come from algebras of
+dimension at most 16, the input cap.  ``ExactMatrix.det`` keeps its own
+elimination as an independent oracle for rank.  ``ELIMINATIONS`` counts
+the systems reduced over each ring.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 __all__ = [
     "GaussianRational",
@@ -53,11 +49,10 @@ __all__ = [
     "nullity_mod_p",
 ]
 
-# Systems row-reduced so far, per path: "integer" (a real system, reduced
-# fraction-free), "certified" (a complex system, proved from GF(P)),
-# "fallback" (a complex system the certified path left to the Fraction loop)
-# and "modular" (the Monte-Carlo rank of nullity_mod_p).
-ELIMINATIONS = dict.fromkeys(("integer", "certified", "fallback", "modular"), 0)
+# Systems row-reduced so far, per ring: "integer" (a real system, over Z),
+# "gaussian" (a system with a non-real entry, over Z[i]) and "modular" (the
+# Monte-Carlo rank of nullity_mod_p, over GF(P)).
+ELIMINATIONS = dict.fromkeys(("integer", "gaussian", "modular"), 0)
 
 # Both constructors (``GaussianRational()`` and ``_make``) store a zero
 # imaginary part as this one object, so "is real" is an identity test.
@@ -457,90 +452,169 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the eliminator: sparse rows over Q(i), or over GF(p) when p is given
+# the eliminator: one Gauss-Jordan loop over Z, Z[i] or GF(P)
 # ---------------------------------------------------------------------------
 
+# The prime of the modular rank: the Proth prime k * 2**64 + 1 with
+# k = 2**62 + 311 (odd, k < 2**64).  By Proth's theorem,
+# pow(29, (P - 1) // 2, P) == P - 1 proves it prime, and then
+# s = 29**((P - 1) / 4) is a square root of -1 mod P, the image of i.
+_P = (2**62 + 311) * 2**64 + 1
+_S = pow(29, (_P - 1) // 4, _P)
 
-def _subtract(row: dict, f, pivot: dict, p) -> None:
-    """row -= f * pivot in place (mod p when p is given), dropping zeros."""
+
+def _gauss_jordan(rows, subtract, normalize):
+    """Online RREF of sparse rows over the ring of the two row operations.
+
+    ``subtract(row, c, pivot)`` clears column c of ``row`` with the pivot
+    row of c, in place; ``normalize(row, lead)`` scales a row to its normal
+    form at its least column ``lead``.  Returns dict pivot_col -> row: each
+    row is nonzero at its pivot, its least column, and zero in every other
+    pivot column.  The input rows are not modified.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            subtract(row, c, pivots[c])
+        if not row:
+            continue
+        lead = min(row)
+        normalize(row, lead)
+        # eliminate the new pivot column from existing pivot rows
+        for p, prow in pivots.items():
+            if lead in prow:
+                subtract(prow, lead, row)
+                normalize(prow, p)
+        pivots[lead] = row
+    return pivots
+
+
+def _int_subtract(row: dict, p: int, pivot: dict) -> None:
+    """Over Z: row <- (L*row - f*pivot) / gcd(L, f) in place, with
+    L = pivot[p] > 0 and f = row[p], which clears column p; zeros are
+    dropped."""
+    L, f = pivot[p], row[p]
+    g = gcd(L, f)
+    if g != 1:
+        L //= g
+        f //= g
+    if L != 1:
+        for c in row:
+            row[c] *= L
     for c, v in pivot.items():
-        nv = row[c] - f * v if c in row else -f * v
-        if p:
-            nv %= p
+        nv = row.get(c, 0) - f * v
         if nv:
             row[c] = nv
         else:
-            row.pop(c, None)
+            del row[c]
 
 
-def _reduce_against(row: dict, pivots: dict, p=None) -> dict:
-    """A copy of a sparse row (col -> coeff) with every pivot column cleared.
-
-    One pass suffices: each pivot row is zero in every other pivot column.
-    """
-    row = dict(row)
-    for c in [c for c in row if c in pivots]:
-        _subtract(row, row[c], pivots[c], p)
-    return row
-
-
-def _sparse_rref(rows):
-    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict.
-
-    Each pivot row is normalized (1 at its pivot, its least column) and
-    kept zero in every other pivot column.  Its entries are
-    GaussianRationals, whatever the path :func:`_eliminate` took.
-    """
-    pivots, integral = _eliminate(rows)
-    if not integral:
-        return pivots
-    return {p: {c: _make(Fraction(v, row[p]), _F0) for c, v in row.items()}
-            for p, row in pivots.items()}
+def _make_primitive(row: dict, p: int) -> None:
+    """Over Z: divide a nonzero int row by the gcd of its entries, signed so
+    that row[p] > 0."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
 
-def _cleared_basis(rows):
-    """A basis of the span of sparse rows (as :func:`_eliminate` takes
-    them), each vector as (d, {col: (re, im)}) cleared to Z[i]: the
-    primitive integer pivot rows of a real system, else the RREF rows."""
-    pivots, integral = _eliminate(rows)
-    if integral:
-        return [(1, {c: (v, 0) for c, v in row.items()}) for row in pivots.values()]
-    return [_cleared(row.items()) for row in pivots.values()]
+def _gaussian_subtract(row: dict, p: int, pivot: dict) -> None:
+    """Over Z[i], entries (re, im): row <- (L*row - f*pivot) / g in place,
+    with L = pivot[p] a positive int, f = row[p] and g = gcd(L, Re f, Im f),
+    which clears column p; zeros are dropped."""
+    L = pivot[p][0]
+    fr, fi = row[p]
+    g = gcd(L, fr, fi)
+    if g != 1:
+        L //= g
+        fr //= g
+        fi //= g
+    if L != 1:
+        for c, (x, y) in row.items():
+            row[c] = (x * L, y * L)
+    for c, (a, b) in pivot.items():
+        x, y = row.get(c, (0, 0))
+        x -= fr * a - fi * b
+        y -= fr * b + fi * a
+        if x or y:
+            row[c] = (x, y)
+        else:
+            del row[c]
+
+
+def _gaussian_normalize(row: dict, p: int) -> None:
+    """Over Z[i]: scale a nonzero row so that row[p] is a positive int and
+    its parts have gcd 1: times conj(row[p]) when that is not real, then
+    divided by the gcd of the parts."""
+    a, b = row[p]
+    if b:
+        for c, (x, y) in row.items():
+            row[c] = (x * a + y * b, y * a - x * b)
+        a = a * a + b * b
+    g = gcd(*[part for v in row.values() for part in v])
+    if a < 0:
+        g = -g
+    if g != 1:
+        for c, (x, y) in row.items():
+            row[c] = (x // g, y // g)
+
+
+def _modp_subtract(row: dict, p: int, pivot: dict) -> None:
+    """Over GF(P), pivot[p] == 1: row <- row - row[p]*pivot in place."""
+    f = row[p]
+    for c, v in pivot.items():
+        nv = (row.get(c, 0) - f * v) % _P
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+def _modp_normalize(row: dict, p: int) -> None:
+    """Over GF(P): scale a nonzero row so that row[p] == 1."""
+    inv = pow(row[p], -1, _P)
+    if inv != 1:
+        for c, v in row.items():
+            row[c] = v * inv % _P
 
 
 def _eliminate(rows):
     """Row-reduce sparse rows whose nonzero entries are ints or
-    GaussianRationals.  Returns (pivots, integral).
+    GaussianRationals.  Returns (pivots, real).
 
-    A real system is cleared to integer rows once and reduced fraction-free
-    (:func:`_int_rref`): ``integral`` is True and each pivot row is an
-    integer multiple of its RREF row.  A system with a non-real entry is
-    first tried on the certified modular path (:func:`_certified_rref`),
-    with the ``Fraction`` loop :func:`_rref_loop` as its fallback, and its
-    pivot rows are the RREF rows over Q(i).
+    The rows are cleared once (:func:`_cleared_rows`) and reduced by
+    :func:`_gauss_jordan` over Z when every entry is real (``real`` True,
+    int entries), else over Z[i] ((re, im) entries).  Either way each pivot
+    row is its RREF row times its pivot entry, a positive int.
     """
+    rows, real = _cleared_rows(rows)
+    if real:
+        ELIMINATIONS["integer"] += 1
+        return _gauss_jordan(rows, _int_subtract, _make_primitive), True
+    ELIMINATIONS["gaussian"] += 1
+    return _gauss_jordan(rows, _gaussian_subtract, _gaussian_normalize), False
+
+
+def _cleared_rows(rows):
+    """(rows, real): each row times the lcm of its denominators, as
+    {col: int} rows when every entry is real, else as {col: (re, im)}
+    Gaussian integer rows."""
     rows = list(rows)
     ints = _integer_rows(rows)
     if ints is not None:
-        ELIMINATIONS["integer"] += 1
-        return _int_rref(ints), True
-    rows = _qi_rows(rows)
-    try:
-        pivots = _certified_rref(rows)
-        ELIMINATIONS["certified"] += 1
-        return pivots, False
-    except _Uncertified as exc:
-        _log_fallback(exc)
-    ELIMINATIONS["fallback"] += 1
-    return _rref_loop(rows), False
-
-
-def _qi_rows(rows):
-    """The rows with every entry a GaussianRational: a system that is not
-    real may still have rows of ints."""
-    if any(type(v) is int for row in rows for v in row.values()):
-        return [{c: grat(v) for c, v in row.items()} for row in rows]
-    return rows
+        return ints, True
+    out = []
+    for row in rows:
+        d = lcm(*[e for v in row.values() if type(v) is not int
+                  for e in (v.re.denominator, v.im.denominator)])
+        out.append({c: (v * d, 0) if type(v) is int
+                    else (v.re.numerator * (d // v.re.denominator),
+                          v.im.numerator * (d // v.im.denominator))
+                    for c, v in row.items() if v})
+    return out, False
 
 
 def _integer_rows(rows):
@@ -563,124 +637,31 @@ def _integer_rows(rows):
     return out
 
 
-def _int_rref(rows):
-    """Fraction-free RREF of integer rows (Bareiss 1968): dict pivot_col ->
-    primitive int row, positive at its pivot (its least column) and zero in
-    every other pivot column.  Dividing a row by its pivot entry gives its
-    RREF row.  The input rows are not modified."""
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        row = dict(row)
-        for c in [c for c in row if c in pivots]:
-            _int_subtract(row, c, pivots[c])
-        if not row:
-            continue
-        lead = min(row)
-        _make_primitive(row, lead)
-        # eliminate the new pivot column from existing pivot rows
-        for p, prow in pivots.items():
-            if lead in prow:
-                _int_subtract(prow, lead, row)
-                _make_primitive(prow, p)
-        pivots[lead] = row
-    return pivots
+def _sparse_rref(rows):
+    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict.
 
-
-def _int_subtract(row: dict, p: int, pivot: dict) -> None:
-    """row <- (L*row - f*pivot) / gcd(L, f) in place, with L = pivot[p] > 0
-    and f = row[p], which clears column p; zeros are dropped."""
-    L, f = pivot[p], row[p]
-    g = gcd(L, f)
-    if g != 1:
-        L //= g
-        f //= g
-    if L != 1:
-        for c in row:
-            row[c] *= L
-    for c, v in pivot.items():
-        nv = row.get(c, 0) - f * v
-        if nv:
-            row[c] = nv
-        else:
-            del row[c]
-
-
-def _make_primitive(row: dict, p: int) -> None:
-    """Divide a nonzero int row by the gcd of its entries, signed so that
-    row[p] > 0."""
-    g = gcd(*row.values())
-    if row[p] < 0:
-        g = -g
-    if g != 1:
-        for c in row:
-            row[c] //= g
-
-
-def _rref_loop(rows, p=None):
-    """Row-by-row RREF over GF(p) for a prime ``p``, entries ints in [0, p);
-    with ``p=None``, over Q(i) in ``Fraction`` arithmetic, the fallback of
-    the certified path for a complex system."""
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        red = _reduce_against(row, pivots, p)
-        if not red:
-            continue
-        lead = min(red)
-        if p is None:
-            inv = ONE / red[lead]
-            norm = {c: v * inv for c, v in red.items()}
-        else:
-            inv = pow(red[lead], -1, p)
-            norm = {c: v * inv % p for c, v in red.items()}
-        # eliminate the new pivot column from existing pivot rows
-        for prow in pivots.values():
-            if lead in prow:
-                _subtract(prow, prow[lead], norm, p)
-        pivots[lead] = norm
-    return pivots
-
-
-# ---------------------------------------------------------------------------
-# certified modular elimination over Q(i)
-# ---------------------------------------------------------------------------
-
-# The Proth prime k * 2**64 + 1 with k = 2**62 + 311 (odd, k < 2**64): by
-# Proth's theorem, pow(29, (P - 1) // 2, P) == P - 1 proves it prime, and
-# then s = 29**((P - 1) / 4) is a square root of -1 mod P.
-_CERT_P = (2**62 + 311) * 2**64 + 1
-_CERT_S = pow(29, (_CERT_P - 1) // 4, _CERT_P)
-# Wang's bound: a fraction n/d with |n|, d <= sqrt(P/2) is the only such
-# fraction congruent to its residue mod P.
-_CERT_BOUND = isqrt(_CERT_P // 2)
-# the inverses of 2 and of 2s mod P
-_HALF = (_CERT_P + 1) // 2
-_HALF_S = pow(2 * _CERT_S, -1, _CERT_P)
-
-
-class _Uncertified(Exception):
-    """The modular candidate RREF was not proved; the message says why."""
-
-
-def _log_fallback(reason) -> None:
-    import logging  # only a fallback pays for the import, not CLI start-up
-
-    logging.getLogger(__name__).debug(
-        "certified Q(i) elimination fell back to the exact loop: %s", reason
-    )
-
-
-def _reconstruct(u: int) -> Fraction:
-    """The fraction n/d with |n|, d <= _CERT_BOUND and n = d*u mod P.
-
-    Half-extended Euclid (Wang 1981); raises ``_Uncertified`` if none exists.
+    Each pivot row is normalized (1 at its pivot, its least column) and
+    kept zero in every other pivot column; its entries are
+    GaussianRationals, each built once from the integer pivot row of
+    :func:`_eliminate`.
     """
-    r0, r1, t0, t1 = _CERT_P, u, 0, 1
-    while r1 > _CERT_BOUND:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > _CERT_BOUND or gcd(r1, t1) != 1:
-        raise _Uncertified("rational reconstruction failed")
-    return Fraction(r1, t1)
+    pivots, real = _eliminate(rows)
+    if real:
+        return {p: {c: _make(Fraction(v, row[p]), _F0) for c, v in row.items()}
+                for p, row in pivots.items()}
+    return {p: {c: _make(Fraction(a, row[p][0]), Fraction(b, row[p][0]))
+                for c, (a, b) in row.items()}
+            for p, row in pivots.items()}
+
+
+def _cleared_basis(rows):
+    """A basis of the span of sparse rows (as :func:`_eliminate` takes
+    them), each vector as (d, {col: (re, im)}) over Z[i]: the integer pivot
+    rows, with d = 1."""
+    pivots, real = _eliminate(rows)
+    if real:
+        return [(1, {c: (v, 0) for c, v in row.items()}) for row in pivots.values()]
+    return [(1, row) for row in pivots.values()]
 
 
 def _cleared(pairs):
@@ -690,94 +671,6 @@ def _cleared(pairs):
     d = lcm(*[e for _, x in pairs for e in (x.re.denominator, x.im.denominator)])
     return d, {key: (x.re.numerator * (d // x.re.denominator),
                      x.im.numerator * (d // x.im.denominator)) for key, x in pairs}
-
-
-def _gaussian_integer_row(row: dict) -> dict:
-    """A Q(i) row times the lcm of its denominators: {col: (re, im)} ints."""
-    m, ints = _cleared(row.items())
-    if m % _CERT_P == 0:
-        raise _Uncertified("a denominator is divisible by P")
-    return ints
-
-
-def _image_mod_p(rows, s: int):
-    """The Q(i) rows cleared to Gaussian integers and mapped to GF(P) by i -> s."""
-    for row in rows:
-        yield {
-            c: m
-            for c, (a, b) in _gaussian_integer_row(row).items()
-            if (m := (a + b * s) % _CERT_P)
-        }
-
-
-def _certified_rref(rows):
-    """The RREF of Q(i) rows from GF(P) elimination, proved exactly over Z[i].
-
-    The rows are cleared to Gaussian integers and eliminated mod P under
-    both embeddings i -> s and i -> -s; the real and imaginary parts of each
-    candidate entry are recovered from the two images and reconstructed as
-    fractions.  The candidate is then proved to be the RREF:
-
-    * rank >= #pivots, because the GF(P) elimination is a ring-homomorphic
-      image of the integer rows, and a nonzero minor mod P is nonzero in Z[i];
-    * rank <= #pivots, because the kernel vector of every free column
-      annihilates every integer row exactly (and every column that occurs is
-      a pivot or occurs in a pivot row, so every free column is tested);
-    * each candidate row has its pivot as least column, 1 there and 0 at the
-      other pivots, and is orthogonal to that kernel, so it lies in the row
-      space and the rows are the reduced echelon basis.
-
-    ``rows`` is a list, read three times: the integer rows are rebuilt on
-    each pass rather than stored, which keeps the peak memory near that of
-    the ``Fraction`` loop.  Raises
-    ``_Uncertified`` when any step fails; the caller then runs that loop.
-    """
-    P = _CERT_P
-    piv_up = _rref_loop(_image_mod_p(rows, _CERT_S), P)
-    piv_down = _rref_loop(_image_mod_p(rows, P - _CERT_S), P)
-    if piv_up.keys() != piv_down.keys():
-        raise _Uncertified("the two embeddings of i give different pivots")
-
-    pivots: dict[int, dict] = {}
-    free_in: dict[int, dict] = {}  # free column -> {pivot: entry}
-    for p, row_up in piv_up.items():
-        row_down = piv_down[p]
-        row = {p: ONE}
-        for c in sorted(row_up.keys() | row_down.keys()):
-            if c == p:
-                continue
-            if c < p or c in piv_up:
-                raise _Uncertified("the candidate is not in reduced echelon form")
-            u, w = row_up.get(c, 0), row_down.get(c, 0)
-            x = _make(_reconstruct((u + w) * _HALF % P),
-                      _reconstruct((u - w) * _HALF_S % P))
-            row[c] = x
-            free_in.setdefault(c, {})[p] = x
-        pivots[p] = row
-
-    kernel = []  # the kernel vector of each free column, scaled to Z[i]
-    for f, entries in free_in.items():
-        m = lcm(*[x.re.denominator for x in entries.values()],
-                *[x.im.denominator for x in entries.values()])
-        vec = {f: (m, 0)}
-        for p, x in entries.items():
-            vec[p] = (-x.re.numerator * (m // x.re.denominator),
-                      -x.im.numerator * (m // x.im.denominator))
-        kernel.append(vec)
-    for row in rows:
-        zrow = _gaussian_integer_row(row)
-        if any(c not in pivots and c not in free_in for c in zrow):
-            raise _Uncertified("a column is neither a pivot nor in a pivot row")
-        for vec in kernel:
-            re = im = 0
-            for c, (a, b) in zrow.items():
-                y = vec.get(c)
-                if y is not None:
-                    re += a * y[0] - b * y[1]
-                    im += a * y[1] + b * y[0]
-            if re or im:
-                raise _Uncertified("a kernel vector does not annihilate the rows")
-    return pivots
 
 
 def rank_sparse(rows, ncols: int) -> int:
@@ -805,28 +698,19 @@ def kernel_basis_sparse(rows, ncols: int):
     return basis
 
 
-# ---------------------------------------------------------------------------
-# Monte-Carlo rank mod P (exact fallback is the caller's job)
-# ---------------------------------------------------------------------------
-
-
 def nullity_mod_p(rows, ncols: int) -> int:
-    """Nullity of the system reduced mod the prime P of the certified path.
+    """Monte-Carlo nullity: the rows cleared as in :func:`_eliminate`, then
+    mapped to GF(P) by i -> s and reduced there.
 
-    The rows are cleared to integers (a real system, as in :func:`_eliminate`)
-    or Gaussian integers first, so no entry has a denominator to invert.
-    Specialization can only lower rank, so this is an *upper bound* on the
-    true nullity; with the 127-bit P it is almost surely exact.  In the one
-    case a complex system cannot be reduced (a row's common denominator
-    divisible by P) the exact rank is used instead.
+    Clearing first leaves no denominator to invert mod P.  Reduction mod P
+    can only lower rank, so this is an *upper bound* on the true nullity;
+    with the 127-bit P it is almost surely exact.
     """
-    rows = list(rows)
     ELIMINATIONS["modular"] += 1
-    ints = _integer_rows(rows)
-    if ints is not None:
-        image = ({c: m for c, v in row.items() if (m := v % _CERT_P)} for row in ints)
-        return ncols - len(_rref_loop(image, _CERT_P))
-    try:
-        return ncols - len(_rref_loop(_image_mod_p(_qi_rows(rows), _CERT_S), _CERT_P))
-    except _Uncertified:
-        return ncols - rank_sparse(rows, ncols)
+    rows, real = _cleared_rows(rows)
+    if real:
+        image = ({c: m for c, v in row.items() if (m := v % _P)} for row in rows)
+    else:
+        image = ({c: m for c, (a, b) in row.items() if (m := (a + b * _S) % _P)}
+                 for row in rows)
+    return ncols - len(_gauss_jordan(image, _modp_subtract, _modp_normalize))

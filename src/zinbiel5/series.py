@@ -74,12 +74,11 @@ class NonExpandable(Exception):
     """The exact tier cannot represent this value; fall back to numerics."""
 
 
-class ScalarValueError(NonExpandable, ValueError):
+class ScalarValueError(ValueError):
     """An expression has no exact scalar value: an unbound name, t with no
     value, or an irrational power.  :func:`evaluate_scalar` raises it as a
-    data error (``ValueError``); it stays a ``NonExpandable``, which that
-    function has always raised for these cases, for the callers that catch
-    that."""
+    data error; it is not a ``NonExpandable``, so no numeric fallback
+    catches it."""
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,8 @@ class TestSuite:
         for _, counts in suite_report.counters:
             for path, n in counts.items():
                 totals[path] = totals.get(path, 0) + n
-        # all real: no certified system, and none left to the Fraction loop
-        assert totals["fallback"] == totals["certified"] == 0
+        # all real: no system is reduced over Z[i]
+        assert totals["gaussian"] == 0
         assert totals["integer"] > 0 and totals["modular"] > 0
         bare = cat.SuiteReport(suite_report.checks)
         assert bare.counters == () and bare == suite_report

@@ -1,4 +1,3 @@
-import logging
 from fractions import Fraction
 
 import pytest
@@ -177,18 +176,24 @@ def test_modp_nullity_matches_exact(m):
     assert nullity_mod_p(rows, ncols) == exact
 
 
-def test_modp_nullity_uses_exact_rank_when_a_denominator_is_p():
-    # the row cannot be cleared to an integer row mod P
-    assert nullity_mod_p([{0: ONE, 1: GaussianRational(Fraction(1, P), 1)}], 2) == 1
+def _sparse_textbook_rref(rows, ncols):
+    """The textbook RREF of sparse rows, as :func:`exactmath._sparse_rref`
+    returns it: dict pivot_col -> {col: nonzero entry}."""
+    m = ExactMatrix([[grat(row.get(c, 0)) for c in range(ncols)] for row in rows])
+    red, pivots = _textbook_rref(m)
+    return {p: {c: x for c, x in enumerate(row) if x} for row, p in zip(red, pivots)}
 
 
 # ---------------------------------------------------------------------------
-# certified modular elimination over Q(i)
+# fraction-free elimination of complex systems over Z[i]
 # ---------------------------------------------------------------------------
 
 
 @given(matrices(max_rows=6, max_cols=6), st.data())
-def test_certified_rref_matches_loop_and_textbook(m, data):
+def test_gaussian_path_matches_textbook(m, data):
+    """A system with a non-real entry, and maybe a dependent row, reduces
+    over Z[i] to the textbook RREF; real integral entries may come as ints,
+    as the system builders pass them."""
     rows = [list(row) for row in m.rows]
     r = data.draw(st.integers(0, m.nrows - 1))
     c = data.draw(st.integers(0, m.ncols - 1))
@@ -196,74 +201,70 @@ def test_certified_rref_matches_loop_and_textbook(m, data):
     if data.draw(st.booleans()):  # a dependent row, so ranks drop too
         z = data.draw(scalars)
         rows.append([a * z + b for a, b in zip(rows[0], rows[-1])])
-    m = ExactMatrix(rows)
-    sparse, _ = _to_sparse(m)
-    loop = exactmath._rref_loop(sparse)
-    red, pivots = _textbook_rref(m)
-    assert sorted(loop) == pivots
-    for row, p in zip(red, pivots):
-        assert loop[p] == {c: x for c, x in enumerate(row) if x}
-    assert exactmath._sparse_rref(sparse) == loop
-    try:
-        assert exactmath._certified_rref(sparse) == loop
-    except exactmath._Uncertified as exc:
-        # the one fallback expected here: an RREF entry too tall for Wang's
-        # bound, which either has no reconstruction or a wrong one that the
-        # kernel check rejects
-        assert str(exc) in (
-            "rational reconstruction failed",
-            "a kernel vector does not annihilate the rows",
-        )
-        parts = [
-            part
-            for row in loop.values()
-            for x in row.values()
-            for q in (x.re, x.im)
-            for part in (q.numerator, q.denominator)
-        ]
-        assert max(map(abs, parts)) > exactmath._CERT_BOUND
+    sparse, ncols = _to_sparse(ExactMatrix(rows))
+    if data.draw(st.booleans()):
+        sparse = [{c: int(x.re) if not x.im and x.re.denominator == 1 else x
+                   for c, x in row.items()} for row in sparse]
+    before = [dict(row) for row in sparse]
+    counts = dict(exactmath.ELIMINATIONS)
+    expected = _sparse_textbook_rref(sparse, ncols)
+    assert exactmath._sparse_rref(sparse) == expected
+    assert rank_sparse(sparse, ncols) == len(expected)
+    assert sparse == before  # the input rows are not modified
+    assert exactmath.ELIMINATIONS["gaussian"] == counts["gaussian"] + 2
+    assert exactmath.ELIMINATIONS["integer"] == counts["integer"]
 
 
-P = exactmath._CERT_P
+P = exactmath._P
+TALL = 2**64 + 1
 
 
 @pytest.mark.parametrize(
-    "rows, reason",
+    "rows, rref",
     [
         (  # RREF entries with numerator and denominator above 2**64
-            [{0: GaussianRational(2**64 + 1), 1: GaussianRational(2**64 + 3, 1)}],
-            "rational reconstruction failed",
+            [{0: GaussianRational(TALL), 1: GaussianRational(TALL + 2, 1)}],
+            {0: {0: ONE, 1: GaussianRational(Fraction(TALL + 2, TALL), Fraction(1, TALL))}},
         ),
-        (  # an entry above Wang's bound that reconstructs to the wrong fraction
-            [{0: ONE, 1: GaussianRational(Fraction(2**64 + 1, 2), 1)}],
-            "a kernel vector does not annihilate the rows",
+        (  # an entry above Wang's bound sqrt(P/2) for rational reconstruction
+            [{0: ONE, 1: GaussianRational(Fraction(TALL, 2), 1)}],
+            {0: {0: ONE, 1: GaussianRational(Fraction(TALL, 2), 1)}},
         ),
-        (  # det = P: the rank drops mod P, so the kernel check fails
+        (  # det = P: full rank, though the rank drops mod P
             [{0: ONE, 1: GaussianRational(1, 1)}, {0: ONE, 1: GaussianRational(1 + P, 1)}],
-            "a kernel vector does not annihilate the rows",
+            {0: {0: ONE}, 1: {1: ONE}},
         ),
-        (
+        (  # a denominator of P
             [{0: ONE, 1: GaussianRational(Fraction(1, P), 1)}],
-            "a denominator is divisible by P",
+            {0: {0: ONE, 1: GaussianRational(Fraction(1, P), 1)}},
         ),
     ],
-    ids=["above-2**64", "wrong-reconstruction", "numerator-P", "denominator-P"],
+    ids=["above-2**64", "above-wang-bound", "det-P", "denominator-P"],
 )
-def test_certified_path_falls_back_with_reason(rows, reason, caplog):
-    with pytest.raises(exactmath._Uncertified, match=reason):
-        exactmath._certified_rref(rows)
-    with caplog.at_level(logging.DEBUG, logger="zinbiel5.exactmath"):
-        assert exactmath._sparse_rref(rows) == exactmath._rref_loop(rows)
-    assert [r.name for r in caplog.records] == ["zinbiel5.exactmath"]
-    assert reason in caplog.records[0].getMessage()
+def test_tall_complex_systems_reduce_exactly(rows, rref):
+    assert exactmath._sparse_rref(rows) == rref == _sparse_textbook_rref(rows, 2)
+    assert rank_sparse(rows, 2) == len(rref)
 
 
-def test_certified_path_logs_nothing_when_proved(caplog):
-    m = ExactMatrix([[1, I, 0], [0, 2, 1], [1, 0, -1]])
-    with caplog.at_level(logging.DEBUG, logger="zinbiel5.exactmath"):
-        assert ExactMatrix(m.rows + (m.rows[0],)).rank() == 3
-        assert m * m.inverse() == ExactMatrix.identity(3)
-    assert not caplog.records
+def test_modp_nullity_stays_an_upper_bound_when_p_divides_the_system():
+    # a row whose common denominator is P: its image mod P is still nonzero
+    assert nullity_mod_p([{0: ONE, 1: GaussianRational(Fraction(1, P), 1)}], 2) == 1
+    # det = P: the rank drops mod P, so the nullity is one too high
+    rows = [{0: ONE, 1: GaussianRational(1, 1)}, {0: ONE, 1: GaussianRational(1 + P, 1)}]
+    assert rank_sparse(rows, 2) == 2 and nullity_mod_p(rows, 2) == 1
+
+
+def test_gaussian_path_keeps_pivot_rows_primitive():
+    # the int 3 is cleared with the 1/2 in its row: (6, 1, 2i)
+    rows = [{0: GaussianRational(1, 1), 1: 2}, {0: 3, 1: grat("1/2"), 2: I}]
+    pivots, real = exactmath._eliminate(rows)
+    assert not real
+    # each pivot entry a positive int, the parts of each row coprime
+    assert pivots == {0: {0: (61, 0), 2: (-2, 22)}, 1: {1: (61, 0), 2: (12, -10)}}
+    assert exactmath._sparse_rref(rows) == {
+        0: {0: ONE, 2: grat("-2/61+22/61*i")},
+        1: {1: ONE, 2: grat("12/61-10/61*i")},
+    }
 
 
 def test_certified_prime_is_a_proth_prime():
@@ -271,7 +272,7 @@ def test_certified_prime_is_a_proth_prime():
     assert rest == 0 and k % 2 == 1 and k < 2**64  # P = k * 2**64 + 1
     assert pow(29, (P - 1) // 2, P) == P - 1  # Proth's theorem: P is prime
     assert P % 4 == 1 and P.bit_length() == 127
-    assert exactmath._CERT_S**2 % P == P - 1
+    assert exactmath._S**2 % P == P - 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +315,18 @@ def real_systems(draw):
 @example(([{0: 3}, {0: -(2**80)}, {}], 1))
 @example(([{0: GaussianRational(Fraction(-2, 3))}, {0: 4}], 1))
 def test_integer_path_matches_fraction_loop(system):
+    """Real rows reduce over Z to the RREF of the textbook loop, which
+    works in Fraction arithmetic."""
     rows, ncols = system
     before = [dict(row) for row in rows]
     counts = dict(exactmath.ELIMINATIONS)
-    loop = exactmath._rref_loop([{c: grat(v) for c, v in row.items()} for row in rows])
-    assert exactmath._sparse_rref(rows) == loop
-    assert rank_sparse(rows, ncols) == len(loop)
-    assert nullity_mod_p(rows, ncols) == ncols - len(loop)
+    expected = _sparse_textbook_rref(rows, ncols)
+    assert exactmath._sparse_rref(rows) == expected
+    assert rank_sparse(rows, ncols) == len(expected)
+    assert nullity_mod_p(rows, ncols) == ncols - len(expected)
     assert rows == before  # the input rows are not modified
     assert exactmath.ELIMINATIONS["integer"] == counts["integer"] + 2
-    assert exactmath.ELIMINATIONS["fallback"] == counts["fallback"]
+    assert exactmath.ELIMINATIONS["gaussian"] == counts["gaussian"]
 
 
 def test_integer_path_keeps_pivot_rows_primitive():
