@@ -16,7 +16,6 @@ from time import perf_counter
 
 from .algebra import (
     Algebra,
-    algebra_from_entries,
     annihilator,
     check_identity,
     derivation_dimension,
@@ -245,21 +244,8 @@ def instantiate(eid: str, params=None) -> Algebra:
                     f"parameter {p['symbol']} = {bad} outside the stated "
                     f"domain of {eid}"
                 )
-    out = []
-    for (i, j, k, c) in e.entries:
-        v = evaluate_scalar(c, bound)
-        if v:
-            out.append((i, j, k, v))
-    if bound:
-        label = eid + "^{" + ",".join(
-            f"{s}={bound[s]}" for s in e.symbols
-        ) + "}"
-    else:
-        label = eid
-    return algebra_from_entries(
-        e.dim, out, label=label,
-        params=tuple((s, bound[s]) for s in e.symbols),
-    )
+    label = eid + "^{" + ",".join(f"{s}={bound[s]}" for s in e.symbols) + "}"
+    return family_tensor(eid).instantiate(bound, label=label if bound else eid)
 
 
 def get(eid: str, params=None, **kw) -> Algebra:

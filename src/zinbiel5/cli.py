@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from time import perf_counter
 
 from .algebra import (
     Algebra,
@@ -382,17 +384,18 @@ def _cmd_act(args) -> int:
         raise CatalogError(
             f"matrix is {P.nrows}x{P.ncols}, algebra dimension is {A.dim}"
         )
-    if not P.det():
+    det = P.det()
+    if not det:
         raise CatalogError("matrix is singular; basis changes must be invertible")
     B = change_basis(A, P)
     payload = {
         "command": "act",
         "algebra": A.label,
-        "det": str(P.det()),
+        "det": str(det),
         "result": {"dim": B.dim, "entries": _entries_payload(B)},
         "verdict": "pass",
     }
-    lines = [f"{A.label} transported along the given basis (det {P.det()}):"]
+    lines = [f"{A.label} transported along the given basis (det {det}):"]
     lines += _entries_text(B) or ["(zero product)"]
     return _emit(payload, lines, args.format)
 
@@ -402,49 +405,68 @@ def _cmd_degenerate(args) -> int:
         raw = _load_json(args.cert)
         if not isinstance(raw, dict):
             raise CatalogError(f"{args.cert}: expected a certificate object")
-        cert = certificate_from_dict(raw)
+        certs = [certificate_from_dict(raw)]
     elif args.label:
-        cert = next((c for c in certificates() if c.label == args.label), None)
-        if cert is None:
+        certs = [c for c in certificates() if c.label == args.label]
+        if not certs:
             raise CatalogError(f"no catalog certificate labelled {args.label!r}")
     else:
-        raise CatalogError("degenerate needs --cert <path> or --label <name>")
-    report = verify_certificate(
-        cert, mode=args.mode, trunc=args.truncation, precision=args.precision
-    )
-    payload = {
-        "command": "degenerate",
-        "label": report.label,
-        "verdict": report.verdict,
-        "mode": report.mode,
-        "samples": [
-            {
-                "params": [list(p) for p in s.params],
-                "verdict": s.verdict,
-                "mode": s.mode,
-                "branch": [list(b) for b in s.branch],
-                "max_residual": str(s.max_residual),
-                "det_valuation": (
-                    None if s.det_valuation is None else str(s.det_valuation)
-                ),
-                "failures": [[str(x) for x in f] for f in s.failures],
-            }
-            for s in report.samples
-        ],
-    }
-    lines = [f"{report.label}: {report.verdict} ({report.mode})"]
-    for s in report.samples:
-        ptxt = (
-            ", ".join(f"{k}={v}" for k, v in s.params) if s.params else "-"
+        certs = certificates()
+    payloads, lines, elapsed = [], [], 0.0
+    for cert in certs:
+        start = perf_counter()
+        report = verify_certificate(
+            cert, mode=args.mode, trunc=args.truncation, precision=args.precision
         )
-        extra = ""
-        if s.mode == "numeric":
-            extra = f", max residual {s.max_residual}"
-        if s.det_valuation is not None:
-            extra += f", det valuation {s.det_valuation}"
-        lines.append(f"  sample [{ptxt}]: {s.verdict} ({s.mode}{extra})")
-        for f in s.failures:
-            lines.append(f"    mismatch: {f}")
+        seconds = perf_counter() - start
+        elapsed += seconds
+        if args.timings:
+            print(f"{cert.label:28s} {seconds:8.3f} s", file=sys.stderr)
+        payloads.append({
+            "command": "degenerate",
+            "label": report.label,
+            "verdict": report.verdict,
+            "mode": report.mode,
+            "samples": [
+                {
+                    "params": [list(p) for p in s.params],
+                    "verdict": s.verdict,
+                    "mode": s.mode,
+                    "branch": [list(b) for b in s.branch],
+                    "max_residual": str(s.max_residual),
+                    "det_valuation": (
+                        None if s.det_valuation is None else str(s.det_valuation)
+                    ),
+                    "failures": [[str(x) for x in f] for f in s.failures],
+                }
+                for s in report.samples
+            ],
+        })
+        lines.append(f"{report.label}: {report.verdict} ({report.mode})")
+        for s in report.samples:
+            ptxt = (
+                ", ".join(f"{k}={v}" for k, v in s.params) if s.params else "-"
+            )
+            extra = ""
+            if s.mode == "numeric":
+                extra = f", max residual {s.max_residual}"
+            if s.det_valuation is not None:
+                extra += f", det valuation {s.det_valuation}"
+            lines.append(f"  sample [{ptxt}]: {s.verdict} ({s.mode}{extra})")
+            for f in s.failures:
+                lines.append(f"    mismatch: {f}")
+    if args.timings:
+        print(f"{'total':28s} {elapsed:8.3f} s", file=sys.stderr)
+    if args.cert or args.label:
+        return _emit(payloads[0], lines, args.format)
+    verdicts = Counter(p["verdict"] for p in payloads)
+    tiers = Counter(p["mode"] for p in payloads)
+    lines += ["", f"{len(payloads)} certificates: "
+              f"{_counts_text(dict(sorted(verdicts.items())))} "
+              f"| tiers: {_counts_text(dict(sorted(tiers.items())))}"]
+    verdict = ("verified" if verdicts["verified"] == len(payloads)
+               else "failed" if verdicts["failed"] else "inconclusive")
+    payload = {"command": "degenerate", "certificates": payloads, "verdict": verdict}
     return _emit(payload, lines, args.format)
 
 
@@ -631,7 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_act)
 
     p = sub.add_parser(
-        "degenerate", parents=[fmt], help="verify a degeneration certificate"
+        "degenerate", parents=[fmt],
+        help="verify a degeneration certificate, or every bundled one",
     )
     p.add_argument("--cert", metavar="PATH", help="certificate JSON file")
     p.add_argument(
@@ -643,6 +666,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision", type=int, default=None, metavar="BITS",
         help="numeric working precision in bits (default 256); at 53 bits 32 of "
         "the 49 bundled certificates are inconclusive, so use at least 256",
+    )
+    p.add_argument(
+        "--timings", action="store_true",
+        help="print each certificate's verification wall time, and the total, "
+        "to stderr",
     )
     p.set_defaults(fn=_cmd_degenerate)
 

@@ -98,7 +98,7 @@ class FamilyTensor:
     def instantiate(self, params: Dict[str, GaussianRational], label: str = "") -> Algebra:
         from .algebra import algebra_from_entries
 
-        vals = [(i, j, k, evaluate_scalar(e, params)) for i, j, k, e in self.entries]
+        vals = [(i, j, k, v) for i, j, k, e in self.entries if (v := evaluate_scalar(e, params))]
         tag = tuple(sorted((s, params[s]) for s in self.symbols)) if self.symbols else ()
         return algebra_from_entries(
             self.dim, vals, label=label or self.label, params=tag

@@ -1,6 +1,5 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from zinbiel5.catalog import MAX_DIM, extension_records, family_samples, rset_rows
+from zinbiel5 import cli
+from zinbiel5.catalog import MAX_DIM, certificates, extension_records, family_samples, rset_rows
 from zinbiel5.cli import _form_text, _vector_text, main
 from zinbiel5.degeneration import MAX_PRECISION_BITS, MAX_TRUNCATION, MIN_PRECISION_BITS
 from zinbiel5.exactmath import ExactMatrix, GaussianRational
@@ -393,32 +393,43 @@ def test_certificate_file_takes_integer_scalars(capsys, tmp_path):
     assert code == 0 and "verified (exact)" in out
 
 
-def _degeneration_report():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "degeneration_report.py"
-    spec = importlib.util.spec_from_file_location("degeneration_report", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_degeneration_report_timings_go_to_stderr_only(capsys, tmp_path):
-    report = _degeneration_report()
-    outputs = []
-    for extra in ((), ("--timings",)):
-        path = tmp_path / f"report{len(extra)}.json"
-        argv = ["--mode", "numeric", "--only", "Z_22 -> Z_1", "--json", str(path), *extra]
-        assert report.main(argv) == 0
-        out = capsys.readouterr()
-        outputs.append((out.out.replace(str(path), "OUT"), path.read_bytes(), out.err))
-    (plain_out, plain_json, plain_err), (timed_out, timed_json, timed_err) = outputs
-    assert plain_out == timed_out and plain_json == timed_json
-    assert "4 certificates: verified=4 | tiers: numeric=4" in plain_out
-    assert plain_err == ""
-    lines = timed_err.splitlines()
-    assert [ln.split()[0] for ln in lines] == ["Z_22"] * 4 + ["total"]
+def test_degenerate_timings_go_to_stderr_only(capsys):
+    argv = ["degenerate", "--label", "Z_22 -> Z_16", "--mode", "numeric"]
+    plain = run(capsys, *argv)
+    timed = run(capsys, *argv, "--timings")
+    assert plain[:2] == timed[:2] and plain[0] == 0
+    assert plain[2] == ""
+    lines = timed[2].splitlines()
+    assert [ln.split()[0] for ln in lines] == ["Z_22", "total"]
     seconds = [float(ln.split()[-2]) for ln in lines]
     assert all(ln.endswith(" s") for ln in lines)
     assert seconds[-1] == pytest.approx(sum(seconds[:-1]), abs=0.01)
+
+
+def test_degenerate_without_a_selection_verifies_every_certificate(capsys, monkeypatch):
+    wanted = ("Z_02 -> Z_03", "Z_02 -> Z_04", "Z_16 -> Z_15")
+    subset = tuple(c for c in certificates() if c.label in wanted)
+    labels = [c.label for c in subset]
+    monkeypatch.setattr(cli, "certificates", lambda: subset)
+    numeric = ("--mode", "numeric")
+    singles = [run(capsys, "degenerate", "--label", label, *numeric) for label in labels]
+    code, out, err = run(capsys, "degenerate", *numeric)
+    assert (code, err) == (0, "")
+    summary = "3 certificates: verified=3 | tiers: numeric=3"
+    assert out == "".join(o for _, o, _ in singles) + f"\n{summary}\n"
+    code, out, _ = run(capsys, "degenerate", *numeric, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["command"], payload["verdict"]) == (0, "degenerate", "verified")
+    assert payload["certificates"] == [
+        json.loads(run(capsys, "degenerate", "--label", label, *numeric, "--format", "json")[1])
+        for label in labels
+    ]
+    # at 53 bits Z_02 -> Z_04 is inconclusive, so the whole run is
+    code, out, _ = run(capsys, "degenerate", *numeric, "--precision", "53")
+    assert code == 1
+    assert out.endswith("\n3 certificates: inconclusive=1 verified=2 | tiers: numeric=3\n")
+    code, out, _ = run(capsys, "degenerate", *numeric, "--precision", "53", "--format", "json")
+    assert (code, json.loads(out)["verdict"]) == (1, "inconclusive")
 
 
 # ---------------------------------------------------------------------------
