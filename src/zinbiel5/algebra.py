@@ -5,7 +5,7 @@ internally, 1-based in the file format), with the multiplication
 e_i e_j = sum_k c[i][j][k] e_k.  Everything here is exact.
 
 Identities and products are evaluated over Z[i] after scaling c by one common
-denominator D, once per public call (:func:`_integer_tensor`).  This is still
+denominator D, once per algebra (:func:`_integer_tensor`).  This is still
 exact: each side of a ternary identity has degree 2 in c (binary: 1), so the
 sides agree iff D^2 (D) times them agree in Z[i]; only a violating tuple's
 sides are divided back into Q(i).
@@ -93,16 +93,21 @@ def product(A: Algebra, x: Sequence, y: Sequence) -> tuple:
 
 
 def _integer_tensor(A: Algebra):
-    """(T, D): D the lcm of all denominators of A.c, T[i][j] = [(k, re, im)]
-    the nonzero D*c[i][j][k] as ints, k ascending."""
-    n = A.dim
-    D, flat = _cleared(((i, j, k), v) for i, plane in enumerate(A.c)
-                       for j, vec in enumerate(plane) for k, v in enumerate(vec)
-                       if v is not ZERO)
-    T = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j, k), (re, im) in flat.items():
-        T[i][j].append((k, re, im))
-    return T, D
+    """(T, D): D the lcm of all denominators of A.c, T[i][j] = ((k, re, im), ...)
+    the nonzero D*c[i][j][k] as ints, k ascending.  Built once per algebra
+    and kept on the instance, as tuples so that no caller can change it."""
+    cached = A.__dict__.get("_integer_tensor")
+    if cached is None:
+        n = A.dim
+        D, flat = _cleared(((i, j, k), v) for i, plane in enumerate(A.c)
+                           for j, vec in enumerate(plane) for k, v in enumerate(vec)
+                           if v is not ZERO)
+        T = [[[] for _ in range(n)] for _ in range(n)]
+        for (i, j, k), (re, im) in flat.items():
+            T[i][j].append((k, re, im))
+        cached = A.__dict__["_integer_tensor"] = (
+            tuple(tuple(map(tuple, plane)) for plane in T), D)
+    return cached
 
 
 def _system_constants(A: Algebra):

@@ -3,25 +3,31 @@
 Expressions cover Gaussian-rational literals, the deformation variable t,
 named parameter symbols, field operations, rational powers and sqrt.  One
 evaluator walks a tree under an exact-series, Q(i)-scalar or mpmath context;
-sqrt is the power 1/2, and exponents are folded by the scalar context.  The
-exact tier expands expressions as Laurent–Puiseux series whose coefficients
-live in Q(i) extended by lazily adjoined square roots of square-free
-integers; inverses and square roots share one truncated binomial-series
-kernel.  The numeric tier evaluates them with mpmath.
+sqrt is the power 1/2, and exponents are folded by the scalar context; a
+text is parsed once while it stays cached.  The exact tier expands
+expressions as Laurent–Puiseux series whose coefficients live in Q(i)
+extended by lazily adjoined square roots of square-free integers.  A series
+is stored cleared: one positive denominator per series and, per nonzero part
+(re + i im)/den * sqrt(d) of the coefficient of t^(k/ram), the ints
+(k, d, re, im), with the gcd divided out once per result, so sums, products
+and the binomial-series kernel shared by inverses and square roots build no
+``Fraction``.  ``Radical`` and ``GaussianRational`` values are built only
+where a coefficient is read.  The numeric tier evaluates with mpmath.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Dict, Iterable, Optional
+from itertools import accumulate, groupby
+from typing import Iterable, Optional
 
 import mpmath
 
-from .exactmath import ONE, ZERO, GaussianRational, grat
+from .exactmath import ONE, ZERO, GaussianRational, _cleared, grat
 
 __all__ = [
     "NonExpandable",
@@ -336,7 +342,13 @@ def parse_expression(text) -> TExpression:
         return text
     if isinstance(text, (int, Fraction)):
         return TNum(Fraction(text))
-    text = str(text)
+    return _parse_text(str(text))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_text(text: str) -> TExpression:
+    """parse_expression of a string.  Trees are immutable, so a text is
+    parsed (and checked) once while it stays cached; errors are not cached."""
     if len(text) > MAX_EXPRESSION_LENGTH:
         raise ValueError(f"expression too long in {text[:40]!r}: "
                          f"{len(text)} characters, at most {MAX_EXPRESSION_LENGTH}")
@@ -454,16 +466,11 @@ class Radical:
 
     Stored as a sorted tuple of (d, coefficient) with d = 1 the rational
     part and no zero coefficient, which is canonical since the sqrt(d) are
-    independent over Q(i); products contract via sqrt(d1)*sqrt(d2) =
-    g*sqrt(d1*d2/g^2).
+    independent over Q(i).  This is the form callers read; its arithmetic
+    runs on constant series, in the cleared form of :class:`PuiseuxSeries`.
     """
 
     terms: tuple
-
-    @staticmethod
-    def _make(data: Dict[int, GaussianRational]) -> "Radical":
-        items = tuple(sorted((d, c) for d, c in data.items() if c))
-        return _radical(items)
 
     @staticmethod
     def from_gaussian(z) -> "Radical":
@@ -489,17 +496,7 @@ class Radical:
         return Radical.from_gaussian(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if not (a and b):
-            return other if b else self
-        if len(a) == len(b) == 1 and a[0][0] == b[0][0] == 1:
-            c = a[0][1] + b[0][1]
-            return _radical(((1, c),) if c else ())
-        data = dict(a)
-        for d, c in b:
-            data[d] = data.get(d, ZERO) + c
-        return self._make(data)
+        return (PuiseuxSeries.scalar(self) + other).coefficient(0)
 
     __radd__ = __add__
 
@@ -507,26 +504,13 @@ class Radical:
         return _radical(tuple((d, -c) for d, c in self.terms))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return (PuiseuxSeries.scalar(self) - other).coefficient(0)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return (PuiseuxSeries.scalar(other) - self).coefficient(0)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) == len(b) == 1 and a[0][0] == b[0][0] == 1:
-            return _radical(((1, a[0][1] * b[0][1]),))
-        data: Dict[int, GaussianRational] = {}
-        for d1, c1 in a:
-            for d2, c2 in b:
-                g = math.gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                v = c1 * c2
-                if g != 1:
-                    v = v * g
-                data[d] = data.get(d, ZERO) + v
-        return self._make(data)
+        return (PuiseuxSeries.scalar(self) * other).coefficient(0)
 
     __rmul__ = __mul__
 
@@ -571,6 +555,12 @@ def _radical(terms: tuple) -> Radical:
     r = object.__new__(Radical)
     object.__setattr__(r, "terms", terms)
     return r
+
+
+def _radical_of(terms, den: int) -> Radical:
+    """The Radical sum of (re + i*im)/den * sqrt(d) over (k, d, re, im) terms."""
+    return _radical(tuple((d, GaussianRational(Fraction(x, den), Fraction(y, den)))
+                          for _, d, x, y in terms))
 
 
 _RAD_ZERO = _radical(())
@@ -628,41 +618,88 @@ def sqrt_gaussian(z: GaussianRational) -> Radical:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _times(d1, x1, y1, d2, x2, y2):
+    """(d, re, im) with (x1 + i y1) sqrt(d1) * (x2 + i y2) sqrt(d2) equal to
+    (re + i im) sqrt(d), by sqrt(d1) sqrt(d2) = g sqrt(d1 d2 / g^2)."""
+    if y1 or y2:
+        x, y = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+    else:
+        x, y = x1 * x2, 0
+    if d1 == 1 or d2 == 1:
+        return d1 * d2, x, y
+    g = math.gcd(d1, d2)
+    return (d1 // g) * (d2 // g), x * g, y * g
+
+
+def _series(ram: int, prec: Optional[int], den: int, data: dict) -> "PuiseuxSeries":
+    """The series sum (re + i im)/den sqrt(d) t^(k/ram) over data
+    {(k, d): (re, im)}, known modulo t^(prec/ram), in canonical form: zero
+    parts and k >= prec dropped, the gcd divided out once, terms sorted."""
+    terms = [(k, d, x, y) for (k, d), (x, y) in data.items()
+             if (x or y) and (prec is None or k < prec)]
+    if den != 1:
+        g = math.gcd(den, *[v for t in terms for v in t[2:]])
+        if g != 1:
+            den //= g
+            terms = [(k, d, x // g, y // g) for k, d, x, y in terms]
+    terms.sort()
+    return _raw(ram, prec, den, tuple(terms))
+
+
+def _raw(ram, prec, den, terms) -> "PuiseuxSeries":
+    """The allocator behind every series: terms already canonical."""
+    s = object.__new__(PuiseuxSeries)
+    s.ram, s.prec, s.den, s.terms = ram, prec, den, terms
+    return s
+
+
+_ONE = ((0, 1, 1, 0),)  # the terms of the constant 1 (with den 1)
+
+
 class PuiseuxSeries:
     """sum_k c_k t^(k/ram), known modulo O(t^(prec/ram)); prec None = exact.
 
     Exponents may be negative (Laurent tails appear when bases are inverted);
-    "exact" series are finite sums."""
+    "exact" series are finite sums.  The coefficients are stored cleared:
+    ``terms`` is a sorted tuple of (k, d, re, im) ints, one per nonzero part
+    (re + i im)/den * sqrt(d) of c_k, over one denominator ``den`` > 0 with
+    gcd(den, every re and im) = 1, so the form is canonical.  ``coeffs``
+    reads the coefficients back as sorted (k, Radical) pairs.
+    """
 
-    ram: int
-    coeffs: tuple  # sorted ((k, Radical), ...), all coefficients nonzero
-    prec: Optional[int]
+    __slots__ = ("ram", "prec", "den", "terms")
+
+    def __init__(self, ram: int, coeffs=(), prec: Optional[int] = None):
+        """sum c t^(k/ram) over (k, c) pairs with distinct k, each c a
+        Radical or a Gaussian rational."""
+        s = _series(ram, prec, *_cleared(
+            ((k, d), z) for k, c in coeffs for d, z in Radical._coerce(c).terms))
+        self.ram, self.prec, self.den, self.terms = ram, prec, s.den, s.terms
 
     # construction ----------------------------------------------------------
 
     @staticmethod
-    def _build(data: Dict[int, Radical], ram: int, prec: Optional[int]) -> "PuiseuxSeries":
-        items = {k: c for k, c in data.items() if c and (prec is None or k < prec)}
-        return PuiseuxSeries(ram, tuple(sorted(items.items())), prec)
-
-    @staticmethod
     def scalar(value, ram: int = 1) -> "PuiseuxSeries":
-        r = value if isinstance(value, Radical) else Radical.from_gaussian(value)
-        return PuiseuxSeries._build({0: r}, ram, None)
+        if isinstance(value, Radical):
+            return PuiseuxSeries(ram, ((0, value),))
+        return _series(ram, None, *_cleared((((0, 1), grat(value)),)))
 
     @staticmethod
     def zero(ram: int = 1) -> "PuiseuxSeries":
-        return PuiseuxSeries(ram, (), None)
+        return _raw(ram, None, 1, ())
 
     @staticmethod
     def t_power(exp: Fraction, coeff=None) -> "PuiseuxSeries":
         exp = Fraction(exp)
-        ram = exp.denominator
-        c = coeff if isinstance(coeff, Radical) else Radical.from_gaussian(coeff if coeff is not None else ONE)
-        return PuiseuxSeries._build({exp.numerator: c}, ram, None)
+        return PuiseuxSeries(exp.denominator, ((exp.numerator, ONE if coeff is None else coeff),))
 
     # views ------------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """((k, Radical), ...), sorted by k, all coefficients nonzero."""
+        return tuple((k, _radical_of(group, self.den))
+                     for k, group in groupby(self.terms, operator.itemgetter(0)))
 
     @property
     def is_exact(self) -> bool:
@@ -670,29 +707,26 @@ class PuiseuxSeries:
 
     @property
     def known_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __bool__(self):
         """False only for the exact zero; O(t^k) with no known term is true."""
-        return bool(self.coeffs) or self.prec is not None
+        return bool(self.terms) or self.prec is not None
 
     def valuation(self) -> Optional[Fraction]:
         """Exponent of the first known nonzero term (None if none known)."""
-        if not self.coeffs:
+        if not self.terms:
             return None
-        return Fraction(self.coeffs[0][0], self.ram)
+        return Fraction(self.terms[0][0], self.ram)
 
     def coefficient(self, exp) -> Radical:
-        exp = Fraction(exp)
-        if self.prec is not None and exp >= Fraction(self.prec, self.ram):
-            raise ValueError(f"coefficient of t^{exp} is beyond truncation")
-        k = exp * self.ram
-        if k.denominator != 1:
-            return _RAD_ZERO
-        for kk, c in self.coeffs:
-            if kk == int(k):
-                return c
-        return _RAD_ZERO
+        k = exp * self.ram if type(exp) is int else Fraction(exp) * self.ram
+        if self.prec is not None and k >= self.prec:
+            raise ValueError(f"coefficient of t^{Fraction(exp)} is beyond truncation")
+        return _radical_of([t for t in self.terms if t[0] == k], self.den)
+
+    def _lead(self) -> Radical:
+        return self.coefficient(self.valuation())
 
     def precision(self) -> Optional[Fraction]:
         return None if self.prec is None else Fraction(self.prec, self.ram)
@@ -705,11 +739,8 @@ class PuiseuxSeries:
         if ram % self.ram:
             raise ValueError("can only lift to a multiple of the ramification")
         f = ram // self.ram
-        return PuiseuxSeries(
-            ram,
-            tuple((k * f, c) for k, c in self.coeffs),
-            None if self.prec is None else self.prec * f,
-        )
+        return _raw(ram, None if self.prec is None else self.prec * f, self.den,
+                    tuple((k * f, d, x, y) for k, d, x, y in self.terms))
 
     @staticmethod
     def _common(a: "PuiseuxSeries", b: "PuiseuxSeries"):
@@ -725,55 +756,72 @@ class PuiseuxSeries:
         return PuiseuxSeries.scalar(value)
 
     # arithmetic ---------------------------------------------------------------
+    #
+    # An exact zero or one operand returns the other side, lifted to the
+    # common ramification as the full computation would.
+
+    def _add(self, other, sign: int) -> "PuiseuxSeries":
+        """self + sign * other, sign = 1 or -1."""
+        a, b = self._common(self, self._coerce(other))
+        if not b:
+            return a
+        if not a:
+            return b if sign == 1 else -b
+        precs = [p for p in (a.prec, b.prec) if p is not None]
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        data = {(k, d): (x * fa, y * fa) for k, d, x, y in a.terms}
+        for k, d, x, y in b.terms:
+            xa, ya = data.get((k, d), (0, 0))
+            data[k, d] = (xa + x * fb, ya + y * fb)
+        return _series(a.ram, min(precs) if precs else None, den, data)
 
     def __add__(self, other):
-        a, b = self._common(self, self._coerce(other))
-        data = dict(a.coeffs)
-        for k, c in b.coeffs:
-            data[k] = data.get(k, _RAD_ZERO) + c
-        precs = [p for p in (a.prec, b.prec) if p is not None]
-        return self._build(data, a.ram, min(precs) if precs else None)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.ram, tuple((k, -c) for k, c in self.coeffs), self.prec)
+        return _raw(self.ram, self.prec, self.den,
+                    tuple((k, d, -x, -y) for k, d, x, y in self.terms))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._add(self, -1)
 
     def __mul__(self, other):
         a, b = self._common(self, self._coerce(other))
         if not a or not b:
             return PuiseuxSeries.zero(a.ram)
-        va = a.coeffs[0][0] if a.coeffs else a.prec
-        vb = b.coeffs[0][0] if b.coeffs else b.prec
-        bounds = []
-        if a.prec is not None:
-            bounds.append(a.prec + vb)
-        if b.prec is not None:
-            bounds.append(b.prec + va)
+        if b.terms == _ONE and b.den == 1 and b.prec is None:
+            return a
+        if a.terms == _ONE and a.den == 1 and a.prec is None:
+            return b
+        va = a.terms[0][0] if a.terms else a.prec
+        vb = b.terms[0][0] if b.terms else b.prec
+        bounds = [p + v for p, v in ((a.prec, vb), (b.prec, va)) if p is not None]
         prec = min(bounds) if bounds else None
-        data: Dict[int, Radical] = {}
-        for k1, c1 in a.coeffs:
-            for k2, c2 in b.coeffs:
+        data = {}
+        for k1, d1, x1, y1 in a.terms:
+            for k2, d2, x2, y2 in b.terms:
                 k = k1 + k2
                 if prec is not None and k >= prec:
-                    continue
-                data[k] = data[k] + c1 * c2 if k in data else c1 * c2
-        return self._build(data, a.ram, prec)
+                    break  # b.terms are sorted by k
+                d, x, y = _times(d1, x1, y1, d2, x2, y2)
+                old = data.get((k, d))
+                data[k, d] = (x, y) if old is None else (old[0] + x, old[1] + y)
+        return _series(a.ram, prec, a.den * b.den, data)
 
     __rmul__ = __mul__
 
     def inverse(self, trunc: int = DEFAULT_TRUNCATION) -> "PuiseuxSeries":
-        if not self.coeffs:
+        if not self.terms:
             if self.prec is None:
                 raise ZeroDivisionError("inverse of the zero series")
             raise NonExpandable("leading term of divisor unknown at this truncation")
-        return self._binomial(Fraction(-1), self.coeffs[0][1].inverse(), trunc)
+        return self._binomial(Fraction(-1), self._lead().inverse(), trunc)
 
     def _binomial(self, alpha: Fraction, root: Radical, trunc: int) -> "PuiseuxSeries":
         """self^alpha as root t^(v alpha) (1+u)^alpha, by Miller's recurrence.
@@ -784,31 +832,44 @@ class PuiseuxSeries:
         f_k g_(n-k) (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7): one pass over u
         per coefficient.  It keeps rel relative orders, trunc of them when
         self is exact, else the span self is known over, so the result is
-        known modulo t^(rel + v alpha); an exact monomial stays exact.
+        known modulo t^(rel + v alpha); an exact monomial stays exact.  Each
+        g_n is kept as (den, ((d, re, im), ...)) ints, reduced once.
         """
-        v, lead = self.coeffs[0]
+        v = self.terms[0][0]
         rel = trunc * self.ram if self.prec is None else self.prec - v
-        u = self * PuiseuxSeries._build({-v: lead.inverse()}, self.ram, None) - 1
+        u = self * PuiseuxSeries(self.ram, ((-v, self._lead().inverse()),)) - 1
         shift = int(v * alpha)
-        mono = PuiseuxSeries._build({shift: root}, self.ram, None)
-        if not u.coeffs:
+        mono = PuiseuxSeries(self.ram, ((shift, root),))
+        if not u.terms:
             return mono.truncate_units(None if self.prec is None else rel + shift)
-        g = [_RAD_ONE]
+        p, q = alpha.numerator, alpha.denominator
+        f = [(k, list(fk)) for k, fk in groupby(u.terms, operator.itemgetter(0))]
+        g = [(1, ((1, 1, 0),))]  # None for a zero coefficient
         for n in range(1, rel):
-            g.append(sum((c * g[n - k] * grat((alpha * k - n + k) / n) for k, c in u.coeffs
-                          if k <= n and g[n - k] and alpha * k != n - k), _RAD_ZERO))
-        out = {n + shift: gn * root for n, gn in enumerate(g) if gn}
-        return self._build(out, self.ram, rel + shift)
+            # q n g_n = sum of w f_k g_(n-k), w = q (alpha k - n + k)
+            parts = [(w, fk, gk) for k, fk in f if k <= n and (gk := g[n - k])
+                     and (w := p * k + q * (k - n))]
+            L = math.lcm(*[gk[0] for _, _, gk in parts])
+            acc = {}
+            for w, fk, (gd, gv) in parts:
+                s = w * (L // gd)
+                for _, d1, x1, y1 in fk:
+                    for d2, x2, y2 in gv:
+                        d, x, y = _times(d1, x1, y1, d2, x2, y2)
+                        ox, oy = acc.get(d, (0, 0))
+                        acc[d] = (ox + s * x, oy + s * y)
+            gn = _series(1, None, u.den * L * q * n, {(0, d): xy for d, xy in acc.items()})
+            g.append((gn.den, tuple(t[1:] for t in gn.terms)) if gn.terms else None)
+        den = math.lcm(*[gn[0] for gn in g if gn])
+        data = {(n, d): (x * (den // gn[0]), y * (den // gn[0]))
+                for n, gn in enumerate(g) if gn for d, x, y in gn[1]}
+        return _series(self.ram, rel, den, data) * mono
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by the zero series")
-        if other.prec is None and len(other.coeffs) == 1:
-            k, c = other.coeffs[0]
-            inv = PuiseuxSeries._build({-k: c.inverse()}, other.ram, None)
-            return self * inv
-        return self * other.inverse()
+        return self * other.inverse()  # an exact monomial has an exact inverse
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -819,20 +880,19 @@ class PuiseuxSeries:
             return self
         if self.prec is not None and self.prec <= prec:
             return self
-        return self._build(dict(self.coeffs), self.ram, prec)
+        return _series(self.ram, prec, self.den, {(k, d): (x, y) for k, d, x, y in self.terms})
 
     def sqrt(self, branch: int = 1, trunc: int = DEFAULT_TRUNCATION) -> "PuiseuxSeries":
-        if not self.coeffs:
+        if not self.terms:
             if self.prec is None:
                 return PuiseuxSeries.zero(self.ram)
             raise NonExpandable("leading term under sqrt unknown at this truncation")
         work = self
-        if work.coeffs[0][0] % 2:
+        if work.terms[0][0] % 2:
             if work.ram * 2 > RAMIFICATION_CAP:
                 raise NonExpandable("odd valuation under sqrt exceeds ramification cap")
             work = work._lift(work.ram * 2)
-        lead = work.coeffs[0][1]
-        root = sqrt_gaussian(lead.gaussian_value())  # NonExpandable if irrational
+        root = sqrt_gaussian(work._lead().gaussian_value())  # NonExpandable if irrational
         return work._binomial(_HALF, root * grat(branch), trunc)
 
     def pow(self, exponent, branch: int = 1, trunc: int = DEFAULT_TRUNCATION) -> "PuiseuxSeries":
@@ -853,12 +913,11 @@ class PuiseuxSeries:
         if e.denominator == 2:
             return self.sqrt(branch=branch, trunc=trunc).pow(e.numerator, trunc=trunc)
         # general rational power: only exact monomials
-        if self.prec is None and len(self.coeffs) == 1:
-            k, c = self.coeffs[0]
-            new_exp = Fraction(k, self.ram) * e
+        if self.prec is None and self.terms and self.terms[0][0] == self.terms[-1][0]:
+            new_exp = self.valuation() * e
             if new_exp.denominator > RAMIFICATION_CAP:
                 raise NonExpandable("rational power exceeds ramification cap")
-            root = _monomial_coeff_root(c, e)
+            root = _monomial_coeff_root(self._lead(), e)
             return PuiseuxSeries.t_power(new_exp, root)
         raise NonExpandable(f"cannot raise a non-monomial series to the {e} power")
 
@@ -889,14 +948,17 @@ class PuiseuxSeries:
             body += f" + O({tail})"
         return body
 
+    def __repr__(self):
+        return f"PuiseuxSeries(ram={self.ram!r}, coeffs={self.coeffs!r}, prec={self.prec!r})"
+
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs and a.prec == b.prec
+        return a.den == b.den and a.terms == b.terms and a.prec == b.prec
 
     def __hash__(self):
-        return hash((self.ram, self.coeffs, self.prec))
+        return hash((self.ram, self.den, self.terms, self.prec))
 
     def lift_to_at_least(self, ram: int) -> "PuiseuxSeries":
         return self._lift(math.lcm(self.ram, ram))
@@ -947,7 +1009,7 @@ class _SeriesContext:
         return PuiseuxSeries.scalar(GaussianRational(0, 1), self.ram)
 
     def variable(self):
-        return PuiseuxSeries._build({self.ram: _RAD_ONE}, self.ram, None)
+        return _raw(self.ram, None, 1, ((self.ram, 1, 1, 0),))
 
     def symbol(self, name):
         if name not in self.params:

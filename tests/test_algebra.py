@@ -363,6 +363,18 @@ def _assert_rows_are_dense_rows_times_d(A, got, dense):
         assert all(type(v) is int for row in got for _, v in row)
 
 
+def test_integer_tensor_is_built_once_per_algebra_as_tuples():
+    A = alg(3, (1, 1, 2, "1/2"), (1, 2, 3, "2/3"), (2, 1, 3, "i"))
+    T, D = _integer_tensor(A)
+    assert _integer_tensor(A) is _integer_tensor(A)
+    assert D == 6 and T[0][0] == ((1, 3, 0),) and T[1][0] == ((2, 0, 6),)
+    assert all(type(T) is type(plane) is type(vec) is tuple for plane in T for vec in plane)
+    # an equal algebra builds its own, equal tensor
+    B = alg(3, *A.entries())
+    assert B == A and _integer_tensor(B) is not _integer_tensor(A)
+    assert _integer_tensor(B) == (T, D)
+
+
 @given(sparse_algebras())
 def test_derivation_rows_match_dense_loop(A):
     _assert_rows_are_dense_rows_times_d(A, _derivation_rows(A), _dense_derivation_rows(A))

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -590,6 +592,41 @@ def test_verify_all_timings_count_eliminations(capsys):
     counts = dict(field.split("=") for field in lines[-1].split()[1:-2])
     assert counts["gaussian"] == "0"
     assert int(counts["integer"]) > 0 and int(counts["modular"]) > 0
+
+
+_SAMPLE_RECORD = re.compile(
+    r"(?P<label>.+): sample (?P<n>\d+), tier (?P<tier>exact|numeric), "
+    r"truncation (?P<trunc>\d+|n/a), det valuation (?P<det>-?\d+(/\d+)?|None), "
+    r"\d+\.\d ms"
+)
+
+
+def test_degeneration_log_has_one_debug_record_per_sample(capsys, caplog):
+    """The zinbiel5.degeneration logger gets one DEBUG record per certificate
+    sample, installs no handler, and leaves the report unchanged."""
+    logger = logging.getLogger("zinbiel5.degeneration")
+    assert logger.handlers == []
+    argv = ("catalog", "verify-all", "--checks", "degenerations", "--format", "json")
+    plain = run(capsys, *argv)
+    with caplog.at_level(logging.DEBUG, logger="zinbiel5.degeneration"):
+        logged = run(capsys, *argv)
+    assert logged == plain and plain[0] == 0
+    records = [r for r in caplog.records if r.name == "zinbiel5.degeneration"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    fields = [_SAMPLE_RECORD.fullmatch(r.getMessage()) for r in records]
+    assert all(fields), [r.getMessage() for r in records]
+    expected = [(c.label, str(n)) for c in certificates()
+                for n in range(1, len(c.samples or ({},)) + 1)]
+    assert [(f["label"], f["n"]) for f in fields] == expected
+    # every bundled certificate verifies on the exact tier at the default truncation
+    assert {(f["tier"], f["trunc"]) for f in fields} == {("exact", "16")}
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="zinbiel5.degeneration"):
+        run(capsys, "degenerate", "--label", "Z_22 -> Z_07", "--truncation", "1")
+        run(capsys, "degenerate", "--label", "Z_22 -> Z_07", "--mode", "numeric")
+    fields = [_SAMPLE_RECORD.fullmatch(r.getMessage()) for r in caplog.records]
+    assert [(f["tier"], f["trunc"], f["det"]) for f in fields] == [
+        ("exact", "2", "4"), ("numeric", "n/a", "4")]
 
 
 # ---------------------------------------------------------------------------

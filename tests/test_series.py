@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from zinbiel5.exactmath import GaussianRational, grat
+from zinbiel5.exactmath import ONE, ZERO, GaussianRational, grat
 from zinbiel5.series import (
+    DEFAULT_TRUNCATION,
     MAX_DEGREE,
     NonExpandable,
     PuiseuxSeries,
@@ -119,6 +121,21 @@ def test_parse_bounds_the_degree(text, ok):
     else:
         with pytest.raises(ValueError, match=f"power too large.*degree above {MAX_DEGREE}"):
             parse_expression(text)
+
+
+def test_parse_caches_each_text_but_no_error():
+    from zinbiel5.series import _parse_text
+
+    text = "(t - 2/7)^3 * sqrt(1 + t)"
+    tree = parse_expression(text)
+    assert parse_expression(text) is tree
+    assert parse_expression(to_text(tree)) == tree
+    cached = _parse_text.cache_info().currsize
+    for bad in ("t^65", "(" * 40 + "1" + ")" * 40, "t +* 2"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_expression(bad)
+    assert _parse_text.cache_info().currsize == cached
 
 
 def test_ramification_inference():
@@ -454,9 +471,9 @@ def _binomial_by_powers(s, alpha, root, trunc):
     """s^alpha by summing binom(alpha, j) u^j power by power: the reference for _binomial."""
     v, lead = s.coeffs[0]
     rel = trunc * s.ram if s.prec is None else s.prec - v
-    u = s * PuiseuxSeries._build({-v: lead.inverse()}, s.ram, None) - 1
+    u = s * PuiseuxSeries(s.ram, ((-v, lead.inverse()),)) - 1
     shift = int(v * alpha)
-    mono = PuiseuxSeries._build({shift: root}, s.ram, None)
+    mono = PuiseuxSeries(s.ram, ((shift, root),))
     if not u.coeffs:
         return mono.truncate_units(None if s.prec is None else rel + shift)
     total = term = PuiseuxSeries.scalar(1, s.ram)
@@ -485,7 +502,7 @@ def unit_series(draw, lead):
     tail = draw(st.dictionaries(st.integers(1, 12), _COEFF, max_size=4))
     prec = draw(st.one_of(st.none(), st.integers(1, 14).map(lambda p: v + p)))
     terms = {v: lead, **{v + k: c for k, c in tail.items()}}
-    return PuiseuxSeries._build(terms, ram, prec)
+    return PuiseuxSeries(ram, terms.items(), prec)
 
 
 _TRUNCS = st.sampled_from([1, 2, 4, 16])
@@ -517,3 +534,219 @@ def test_binomial_sqrt_matches_power_sum(z, data, trunc):
     r = s.sqrt(trunc=trunc)
     rel = _relative_order(s, trunc)
     assert r * r == s.truncate_units(None if rel is None else s.coeffs[0][0] + rel)
+
+
+# hypothesis: the cleared kernel against the Radical-coefficient arithmetic ------
+#
+# The reference keeps the deleted arithmetic on Radical coefficients, as
+# {k: {d: GaussianRational}} dicts with its own sqrt(d1) sqrt(d2) contraction,
+# so a wrong contraction or a missing reduction in the kernel shows up.
+
+def _rad_add(a, b):
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, ZERO) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def _rad_mul(a, b):
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            out[d] = out.get(d, ZERO) + c1 * c2 * g
+    return {d: c for d, c in out.items() if c}
+
+
+def _rad_inverse(a):
+    if set(a) == {1}:
+        return {1: 1 / a[1]}
+    dmax = max(a)
+    p = next(q for q in range(2, dmax + 1) if dmax % q == 0)
+    conj = {d: -c if d % p == 0 else c for d, c in a.items()}
+    return _rad_mul(conj, _rad_inverse(_rad_mul(a, conj)))
+
+
+class _Ref:
+    """A Puiseux series with {k: {d: GaussianRational}} coefficients."""
+
+    def __init__(self, ram, coeffs, prec):
+        self.ram, self.prec = ram, prec
+        self.c = {k: c for k, c in coeffs.items() if c and (prec is None or k < prec)}
+
+    @staticmethod
+    def of(s):
+        return _Ref(s.ram, {k: dict(c.terms) for k, c in s.coeffs}, s.prec)
+
+    def series(self):
+        return PuiseuxSeries(self.ram, [(k, Radical(tuple(sorted(c.items()))))
+                                        for k, c in self.c.items()], self.prec)
+
+    def text(self):
+        coeffs = tuple((k, Radical(tuple(sorted(self.c[k].items())))) for k in sorted(self.c))
+        return f"PuiseuxSeries(ram={self.ram!r}, coeffs={coeffs!r}, prec={self.prec!r})"
+
+    def lift(self, ram):
+        f = ram // self.ram
+        return _Ref(ram, {k * f: c for k, c in self.c.items()},
+                    None if self.prec is None else self.prec * f)
+
+    def common(self, other):
+        ram = math.lcm(self.ram, other.ram)
+        if ram > 12:
+            raise NonExpandable("ramification cap")
+        return self.lift(ram), other.lift(ram)
+
+    def __bool__(self):
+        return bool(self.c) or self.prec is not None
+
+    def __add__(self, other):
+        a, b = self.common(other)
+        data = dict(a.c)
+        for k, c in b.c.items():
+            data[k] = _rad_add(data.get(k, {}), c)
+        precs = [p for p in (a.prec, b.prec) if p is not None]
+        return _Ref(a.ram, data, min(precs) if precs else None)
+
+    def __neg__(self):
+        return _Ref(self.ram, {k: {d: -z for d, z in c.items()} for k, c in self.c.items()},
+                    self.prec)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b = self.common(other)
+        if not a or not b:
+            return _Ref(a.ram, {}, None)
+        va = min(a.c) if a.c else a.prec
+        vb = min(b.c) if b.c else b.prec
+        bounds = [p + v for p, v in ((a.prec, vb), (b.prec, va)) if p is not None]
+        prec = min(bounds) if bounds else None
+        data = {}
+        for k1, c1 in a.c.items():
+            for k2, c2 in b.c.items():
+                if prec is None or k1 + k2 < prec:
+                    data[k1 + k2] = _rad_add(data.get(k1 + k2, {}), _rad_mul(c1, c2))
+        return _Ref(a.ram, data, prec)
+
+    def binomial(self, alpha, root, trunc):
+        v = min(self.c)
+        rel = trunc * self.ram if self.prec is None else self.prec - v
+        u = self * _Ref(self.ram, {-v: _rad_inverse(self.c[v])}, None) - _Ref(1, {0: {1: ONE}}, None)
+        shift = int(v * alpha)
+        if not u.c:
+            prec = None if self.prec is None else rel + shift
+            return _Ref(self.ram, {shift: root}, prec)
+        g = [{1: ONE}]
+        for n in range(1, rel):
+            gn = {}
+            for k, c in u.c.items():
+                if k <= n and g[n - k] and alpha * k != n - k:
+                    w = {1: grat((alpha * k - n + k) / n)}
+                    gn = _rad_add(gn, _rad_mul(_rad_mul(c, g[n - k]), w))
+            g.append(gn)
+        return _Ref(self.ram, {n + shift: _rad_mul(gn, root) for n, gn in enumerate(g)},
+                    rel + shift)
+
+    def inverse(self, trunc):
+        if not self.c:
+            raise ZeroDivisionError if self.prec is None else NonExpandable
+        return self.binomial(F(-1), _rad_inverse(self.c[min(self.c)]), trunc)
+
+    def __truediv__(self, other):
+        if not other:
+            raise ZeroDivisionError
+        if other.prec is None and len(other.c) == 1:
+            (k, c), = other.c.items()
+            return self * _Ref(other.ram, {-k: _rad_inverse(c)}, None)
+        return self * other.inverse(DEFAULT_TRUNCATION)
+
+    def sqrt(self, branch, trunc):
+        if not self.c:
+            if self.prec is None:
+                return self
+            raise NonExpandable
+        work = self if min(self.c) % 2 == 0 else self.lift(2 * self.ram)
+        if work.ram > 12:
+            raise NonExpandable
+        lead = work.c[min(work.c)]
+        if set(lead) != {1}:
+            raise NonExpandable
+        root = {d: z * branch for d, z in sqrt_gaussian(lead[1]).terms}
+        return work.binomial(F(1, 2), root, trunc)
+
+    def pow(self, e, branch, trunc):
+        if e.denominator == 2:
+            return self.sqrt(branch, trunc).pow(F(e.numerator), 1, trunc)
+        n = int(e)
+        if n < 0:
+            return self.inverse(trunc).pow(F(-n), 1, trunc)
+        out = _Ref(self.ram, {0: {1: ONE}}, None)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+@st.composite
+def radical_series(draw):
+    """Exact or truncated series at ram 1-3, negative valuations allowed,
+    with Gaussian and sqrt(2), sqrt(3) coefficients."""
+    ram = draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.dictionaries(st.integers(-4, 6), _COEFF, max_size=3))
+    prec = draw(st.one_of(st.none(), st.integers(-2, 9)))
+    return PuiseuxSeries(ram, terms.items(), prec)
+
+
+def _outcome(fn):
+    """('ok', result) or ('raised', exception type) of fn()."""
+    try:
+        return "ok", fn()
+    except (NonExpandable, ZeroDivisionError) as exc:
+        return "raised", type(exc)
+
+
+_OPS = {
+    "+": (lambda a, b, t: a + b),
+    "-": (lambda a, b, t: a - b),
+    "*": (lambda a, b, t: a * b),
+    "/": (lambda a, b, t: a / b),
+}
+
+
+@given(radical_series(), radical_series(), st.sampled_from(sorted(_OPS)), st.sampled_from([1, 2, 4]))
+def test_cleared_arithmetic_matches_radical_reference(x, y, op, trunc):
+    fn = _OPS[op]
+    got = _outcome(lambda: fn(x, y, trunc))
+    want = _outcome(lambda: fn(_Ref.of(x), _Ref.of(y), trunc))
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert repr(got[1]) == want[1].text()
+        assert got[1] == want[1].series() and hash(got[1]) == hash(want[1].series())
+    else:
+        assert got[1] is want[1]
+
+
+@given(
+    radical_series(),
+    st.sampled_from(["inverse", "sqrt", *(F(n, q) for n in (-2, -1, 0, 1, 2, 3) for q in (1, 2))]),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, 2, 4]),
+)
+def test_cleared_inverse_sqrt_pow_match_radical_reference(x, op, branch, trunc):
+    if op == "inverse":
+        got = _outcome(lambda: x.inverse(trunc))
+        want = _outcome(lambda: _Ref.of(x).inverse(trunc))
+    elif op == "sqrt":
+        got = _outcome(lambda: x.sqrt(branch, trunc))
+        want = _outcome(lambda: _Ref.of(x).sqrt(branch, trunc))
+    else:
+        got = _outcome(lambda: x.pow(op, branch, trunc))
+        want = _outcome(lambda: _Ref.of(x).pow(op, branch, trunc))
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert repr(got[1]) == want[1].text()
+        assert got[1] == want[1].series()
+    else:
+        assert got[1] is want[1]
