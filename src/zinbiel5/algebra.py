@@ -12,6 +12,7 @@ sides are divided back into Q(i).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -22,6 +23,7 @@ from .exactmath import (
     GaussianRational,
     _cleared,
     _cleared_basis,
+    _Rows,
     grat,
     kernel_basis_sparse,
     nullity_mod_p,
@@ -111,13 +113,31 @@ def _integer_tensor(A: Algebra):
 
 
 def _system_constants(A: Algebra):
-    """[i][j] -> [(k, D*c[i][j][k])], k ascending, the nonzero constants
-    scaled as in :func:`_integer_tensor`: an int when real, else a
-    GaussianRational.  Scaling every equation of a homogeneous system by
-    D > 0 changes neither its kernel nor its pivots."""
-    T, _ = _integer_tensor(A)
-    return [[[(k, GaussianRational(re, im) if im else re) for k, re, im in vec]
-             for vec in plane] for plane in T]
+    """(C, real): C[i][j] = ((k, D*c[i][j][k]), ...), k ascending, the nonzero
+    constants scaled as in :func:`_integer_tensor`, built once per algebra.
+
+    This is the row-entry contract of the system builders: each entry is an
+    int when ``real`` (every constant of A is real), else a Gaussian integer
+    (re, im) of ints, and their rows go to the eliminator as a
+    :class:`~zinbiel5.exactmath._Rows` list of that ring, so no
+    ``GaussianRational`` is built.  Scaling every equation of a homogeneous
+    system by D > 0 changes neither its kernel nor its pivots."""
+    cached = A.__dict__.get("_system_constants")
+    if cached is None:
+        T, _ = _integer_tensor(A)
+        real = not any(im for plane in T for vec in plane for _, _, im in vec)
+        cached = A.__dict__["_system_constants"] = (
+            tuple(tuple(tuple((k, re) if real else (k, (re, im)) for k, re, im in vec)
+                        for vec in plane) for plane in T),
+            real)
+    return cached
+
+
+# real -> (zero, add, neg) of system entries: ints, or (re, im) int pairs
+_RINGS = {
+    True: (0, operator.add, operator.neg),
+    False: ((0, 0), lambda x, y: (x[0] + y[0], x[1] + y[1]), lambda x: (-x[0], -x[1])),
+}
 
 
 def _ints(x: Sequence):
@@ -243,15 +263,17 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
 
 
 def _components(A: Algebra):
-    """The structure tensor read as n bilinear forms: form k is
-    (i, j) -> D*c[i][j][k], entries as in :func:`_system_constants`."""
+    """(mats, real): the structure tensor read as n bilinear forms, form k
+    being (i, j) -> D*c[i][j][k], entries as in :func:`_system_constants`
+    (0 where the constant is zero)."""
     n = A.dim
+    C, real = _system_constants(A)
     mats = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, plane in enumerate(_system_constants(A)):
+    for i, plane in enumerate(C):
         for j, vec in enumerate(plane):
             for k, v in vec:
                 mats[k][i][j] = v
-    return mats
+    return mats, real
 
 
 def _annihilator_rows(mats):
@@ -268,7 +290,8 @@ def _annihilator_rows(mats):
 
 def annihilator(A: Algebra):
     """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors."""
-    return kernel_basis_sparse(_annihilator_rows(_components(A)), A.dim)
+    mats, real = _components(A)
+    return kernel_basis_sparse(_Rows(_annihilator_rows(mats), real), A.dim)
 
 
 @dataclass(frozen=True)
@@ -288,16 +311,19 @@ def power_filtration(A: Algebra) -> PowerFiltration:
     powers = [[(1, {i: (1, 0)}) for i in range(n)]]  # powers[k]: A^(k+1), cleared
     dims = [n]
     T, D = _integer_tensor(A)
+    real = _system_constants(A)[1]
     while True:
         k = len(powers) + 1  # computing A^k
-        prods = []  # each product times its denominator, as a system row
+        prods = _Rows((), real)  # each product times its denominator, as a system row
         for p in range(1, k):
             q = k - p
             for u in powers[p - 1]:
                 for v in powers[q - 1]:
                     re, im, _ = _product(T, D, u, v)
-                    prods.append({m: GaussianRational(a, b) if b else a
-                                  for m, (a, b) in enumerate(zip(re, im)) if a or b})
+                    row = ({m: a for m, a in enumerate(re) if a} if real else
+                           {m: (a, b) for m, (a, b) in enumerate(zip(re, im)) if a or b})
+                    if row:
+                        prods.append(row)
         basis = _cleared_basis(prods)
         d = len(basis)
         if d == 0:
@@ -312,17 +338,20 @@ def power_filtration(A: Algebra) -> PowerFiltration:
 
 def _derivation_rows(A: Algebra):
     """Sparse rows of the Leibniz system in unknowns D[r][s] -> col r*n+s,
-    each equation scaled as in :func:`_system_constants`."""
+    each equation scaled as in :func:`_system_constants`, as a
+    :class:`~zinbiel5.exactmath._Rows` list over the algebra's ring."""
     n = A.dim
-    by_ij = _system_constants(A)
-    by_jm = [[[] for _ in range(n)] for _ in range(n)]  # [j][m] -> [(p, c[p][j][m])]
-    by_im = [[[] for _ in range(n)] for _ in range(n)]  # [i][m] -> [(q, c[i][q][m])]
+    by_ij, real = _system_constants(A)
+    zero, add, neg = _RINGS[real]
+    by_jm = [[[] for _ in range(n)] for _ in range(n)]  # [j][m] -> [(p, -c[p][j][m])]
+    by_im = [[[] for _ in range(n)] for _ in range(n)]  # [i][m] -> [(q, -c[i][q][m])]
     for i in range(n):
         for j in range(n):
             for k, v in by_ij[i][j]:
+                v = neg(v)
                 by_jm[j][k].append((i, v))
                 by_im[i][k].append((j, v))
-    rows = []
+    rows = _Rows((), real)
     for i in range(n):
         for j in range(n):
             prod = by_ij[i][j]
@@ -330,11 +359,11 @@ def _derivation_rows(A: Algebra):
                 row = {k * n + m: v for k, v in prod}
                 for p, v in by_jm[j][m]:
                     col = i * n + p
-                    row[col] = row[col] - v if col in row else -v
+                    row[col] = add(row[col], v) if col in row else v
                 for q, v in by_im[i][m]:
                     col = j * n + q
-                    row[col] = row[col] - v if col in row else -v
-                row = {c: v for c, v in row.items() if v}
+                    row[col] = add(row[col], v) if col in row else v
+                row = {c: v for c, v in row.items() if v != zero}
                 if row:
                     rows.append(row)
     return rows

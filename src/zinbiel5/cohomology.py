@@ -14,6 +14,7 @@ from .algebra import (
     Algebra,
     _annihilator_rows,
     _components,
+    _RINGS,
     _system_constants,
     algebra_from_entries,
     annihilator,
@@ -21,9 +22,12 @@ from .algebra import (
 from .exactmath import (
     ZERO,
     ExactMatrix,
+    GaussianRational,
+    _Rows,
     _sparse_rref,
     grat,
     kernel_basis_sparse,
+    rank_sparse,
 )
 
 __all__ = [
@@ -84,22 +88,27 @@ def delta_form(n: int, *components) -> CocycleForm:
     return CocycleForm(tuple(mats))
 
 
-def _sym_terms(by_ij, j: int, k: int):
-    """Nonzero coordinates of e_j e_k + e_k e_j as [(m, coeff)], m ascending."""
+def _sym_terms(by_ij, ring, j: int, k: int):
+    """Nonzero coordinates of -(e_j e_k + e_k e_j) as [(m, coeff)], m
+    ascending, the entries in ``ring`` (see :data:`~zinbiel5.algebra._RINGS`)."""
+    zero, add, neg = ring
     acc = {}
     for m, v in by_ij[j][k] + by_ij[k][j]:
-        acc[m] = acc[m] + v if m in acc else v
-    return sorted((m, v) for m, v in acc.items() if v)
+        acc[m] = add(acc[m], v) if m in acc else v
+    return sorted((m, neg(v)) for m, v in acc.items() if v != zero)
 
 
 def is_cocycle(A: Algebra, mat: ExactMatrix) -> bool:
     """Does ``mat`` satisfy every equation of the cocycle system?
 
     Only the nonzero entries of ``mat`` are multiplied, by the rows' entries
-    (ints for a real algebra)."""
+    (ints for a real algebra, (re, im) pairs read as Q(i) values for a
+    complex one)."""
     x = {c: v for c, v in enumerate(_vec(mat)) if v}
     return not any(
-        sum((x[c] * v for c, v in row.items() if c in x), ZERO) for row in _cocycle_rows(A)
+        sum((x[c] * (v if type(v) is int else GaussianRational(*v))
+             for c, v in row.items() if c in x), ZERO)
+        for row in _cocycle_rows(A)
     )
 
 
@@ -107,12 +116,15 @@ def _cocycle_rows(A: Algebra):
     """Sparse rows of theta(e_i e_j, e_k) = theta(e_i, e_j e_k + e_k e_j).
 
     The unknowns are theta[i][j] -> column i*n+j; each equation is scaled
-    as in :func:`~zinbiel5.algebra._system_constants`.
+    as in :func:`~zinbiel5.algebra._system_constants`, and the rows are a
+    :class:`~zinbiel5.exactmath._Rows` list over the algebra's ring.
     """
     n = A.dim
-    by_ij = _system_constants(A)
-    sym = [[_sym_terms(by_ij, j, k) for k in range(n)] for j in range(n)]
-    rows = []
+    by_ij, real = _system_constants(A)
+    ring = _RINGS[real]
+    zero, add, _ = ring
+    sym = [[_sym_terms(by_ij, ring, j, k) for k in range(n)] for j in range(n)]
+    rows = _Rows((), real)
     for i in range(n):
         for j in range(n):
             prod = by_ij[i][j]
@@ -120,8 +132,8 @@ def _cocycle_rows(A: Algebra):
                 row = {m * n + k: v for m, v in prod}
                 for m, v in sym[j][k]:
                     col = i * n + m
-                    row[col] = row[col] - v if col in row else -v
-                row = {c: v for c, v in row.items() if v}
+                    row[col] = add(row[col], v) if col in row else v
+                row = {c: v for c, v in row.items() if v != zero}
                 if row:
                     rows.append(row)
     return rows
@@ -141,19 +153,26 @@ def cocycle_space(A: Algebra):
     return [_unvec(v, n) for v in kernel_basis_sparse(_cocycle_rows(A), n * n)]
 
 
+def _coboundary_rows(A: Algebra):
+    """The forms (x, y) -> D*c[x][y][k] spanning B^2, one row per k, as a
+    :class:`~zinbiel5.exactmath._Rows` list over the algebra's ring."""
+    n = A.dim
+    mats, real = _components(A)
+    rows = ({i * n + j: v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+            for m in mats)
+    return _Rows((row for row in rows if row), real)
+
+
 def coboundary_space(A: Algebra):
     """Basis of B^2(A) = { (x,y) -> f(xy) }, RREF-canonical."""
     n = A.dim
-    pivots = _sparse_rref(
-        {i * n + j: v for i, row in enumerate(m) for j, v in enumerate(row) if v}
-        for m in _components(A)
-    )
+    pivots = _sparse_rref(_coboundary_rows(A))
     return [_unvec([pivots[p].get(c, ZERO) for c in range(n * n)], n)
             for p in sorted(pivots)]
 
 
 def coboundary_dimension(A: Algebra) -> int:
-    return len(coboundary_space(A))
+    return rank_sparse(_coboundary_rows(A), A.dim * A.dim)
 
 
 @dataclass(frozen=True)
@@ -267,7 +286,7 @@ def extension_wellformed(A: Algebra, form: CocycleForm, ext: Algebra) -> Wellfor
     n, s = A.dim, form.components
     # Ann(A) ∩ Ann(theta): one system over the forms of A and of theta
     inter = kernel_basis_sparse(
-        _annihilator_rows(_components(A) + [m.rows for m in form.mats]), n
+        _annihilator_rows(_components(A)[0] + [m.rows for m in form.mats]), n
     )
     inter_dim = len(inter)
 

@@ -1,26 +1,31 @@
 """Exact arithmetic over Q(i) and exact linear algebra.
 
-Everything downstream (structure constants, cocycle solving, series
-coefficients) runs on :class:`GaussianRational`, a pair of
-``fractions.Fraction`` components.  Real values (imaginary part zero, the
-case of every catalog structure constant) take a real-only branch that costs
-one ``Fraction`` operation.
+Values that a caller reads (structure constants, cocycles, echelon entries,
+series coefficients) are :class:`GaussianRational`, a pair of
+``fractions.Fraction`` components; the work in between runs on Python ints
+where it can.  Real values (imaginary part zero, the case of every catalog
+structure constant) take a real-only branch that costs one ``Fraction``
+operation.
 
 Every linear system, dense (``ExactMatrix``) or sparse (:func:`rank_sparse`,
 :func:`kernel_basis_sparse`, :func:`nullity_mod_p`), is row-reduced by one
 Gauss-Jordan loop, :func:`_gauss_jordan`, given the two row operations of its
-ring.  Its rows are {col: coeff} dicts, cleared of denominators once:
+ring.  Its rows are {col: coeff} dicts over Z or Z[i]:
 
-* over Z, a real system (the derivation, cocycle, annihilator and power
-  systems of a real algebra, whose builders pass D times the structure
-  constants as ints): row <- (L*row - f*pivot)/gcd(L, f), with L the
+* over Z, a real system: row <- (L*row - f*pivot)/gcd(L, f), with L the
   pivot entry, each row kept primitive and positive at its pivot;
 * over Z[i], a system with a non-real entry, as {col: (re, im)} ints: the
   same with f a Gaussian integer, and a row whose pivot entry is not real
   is multiplied by its conjugate first, so every pivot entry is a positive
   int;
-* over GF(P), the Monte-Carlo rank :func:`nullity_mod_p`: the cleared rows
-  mod the 127-bit Proth prime P, with i mapped to a square root s of -1.
+* over GF(P), the Monte-Carlo rank :func:`nullity_mod_p`: the Z or Z[i]
+  rows mod the 127-bit Proth prime P, with i mapped to a square root s of
+  -1.
+
+The system builders of ``algebra`` and ``cohomology`` state their rows over
+the algebra's ring (a :class:`_Rows` list), which the eliminator takes as
+they are; any other rows are cleared of denominators once
+(:func:`_cleared_rows`).
 
 Z and Z[i] are integral domains and the work is fraction-free, so the RREF
 is exact with no proof step; no ``Fraction`` is built during elimination,
@@ -29,7 +34,7 @@ is coefficient growth on large dense systems (a random dense full-rank
 80 x 80 Q(i) matrix takes seconds); the systems here come from algebras of
 dimension at most 16, the input cap.  ``ExactMatrix.det`` keeps its own
 elimination as an independent oracle for rank.  ``ELIMINATIONS`` counts
-the systems reduced over each ring.
+the systems reduced over each ring and the rows fed to the eliminator.
 """
 from __future__ import annotations
 
@@ -51,8 +56,9 @@ __all__ = [
 
 # Systems row-reduced so far, per ring: "integer" (a real system, over Z),
 # "gaussian" (a system with a non-real entry, over Z[i]) and "modular" (the
-# Monte-Carlo rank of nullity_mod_p, over GF(P)).
-ELIMINATIONS = dict.fromkeys(("integer", "gaussian", "modular"), 0)
+# Monte-Carlo rank of nullity_mod_p, over GF(P)); and "rows", the rows of
+# all those systems fed to the eliminator.
+ELIMINATIONS = dict.fromkeys(("integer", "gaussian", "modular", "rows"), 0)
 
 # Both constructors (``GaussianRational()`` and ``_make``) store a zero
 # imaginary part as this one object, so "is real" is an identity test.
@@ -581,14 +587,29 @@ def _modp_normalize(row: dict, p: int) -> None:
             row[c] = v * inv % _P
 
 
-def _eliminate(rows):
-    """Row-reduce sparse rows whose nonzero entries are ints or
-    GaussianRationals.  Returns (pivots, real).
+class _Rows(list):
+    """Sparse rows stated over one ring by a system builder: {col: int}
+    when ``real``, else {col: (re, im)} Gaussian integers, with no empty row
+    and no zero entry.  :func:`_cleared_rows` takes them as they are."""
 
-    The rows are cleared once (:func:`_cleared_rows`) and reduced by
-    :func:`_gauss_jordan` over Z when every entry is real (``real`` True,
-    int entries), else over Z[i] ((re, im) entries).  Either way each pivot
-    row is its RREF row times its pivot entry, a positive int.
+    __slots__ = ("real",)
+
+    def __init__(self, rows, real: bool):
+        super().__init__(rows)
+        self.real = real
+
+
+def _eliminate(rows):
+    """Row-reduce sparse rows.  Returns (pivots, real).
+
+    The entries of the rows are ints when the system is real and (re, im)
+    int pairs when it is not, as the system builders state them in a
+    :class:`_Rows` list; ``GaussianRational`` entries come only from public
+    callers, alone or mixed with the others.  The rows are cleared
+    (:func:`_cleared_rows`) and reduced by :func:`_gauss_jordan` over Z when
+    every entry is real (``real`` True, int entries), else over Z[i]
+    ((re, im) entries).  Either way each pivot row is its RREF row times its
+    pivot entry, a positive int.
     """
     rows, real = _cleared_rows(rows)
     if real:
@@ -599,22 +620,35 @@ def _eliminate(rows):
 
 
 def _cleared_rows(rows):
-    """(rows, real): each row times the lcm of its denominators, as
-    {col: int} rows when every entry is real, else as {col: (re, im)}
-    Gaussian integer rows."""
+    """(rows, real): a :class:`_Rows` list as it is; other rows times the
+    lcm of their denominators, as {col: int} rows when every entry is real,
+    else as {col: (re, im)} Gaussian integer rows.  Counts the rows in
+    ``ELIMINATIONS``."""
+    if type(rows) is _Rows:
+        ELIMINATIONS["rows"] += len(rows)
+        return rows, rows.real
     rows = list(rows)
+    ELIMINATIONS["rows"] += len(rows)
     ints = _integer_rows(rows)
     if ints is not None:
         return ints, True
     out = []
     for row in rows:
-        d = lcm(*[e for v in row.values() if type(v) is not int
+        d = lcm(*[e for v in row.values() if isinstance(v, GaussianRational)
                   for e in (v.re.denominator, v.im.denominator)])
-        out.append({c: (v * d, 0) if type(v) is int
-                    else (v.re.numerator * (d // v.re.denominator),
-                          v.im.numerator * (d // v.im.denominator))
-                    for c, v in row.items() if v})
+        out.append({c: z for c, v in row.items() if (z := _gaussian_int(v, d)) != (0, 0)})
     return out, False
+
+
+def _gaussian_int(v, d: int) -> tuple:
+    """(re, im): an int, an int pair or a GaussianRational entry v times d,
+    where d clears v's denominators."""
+    if type(v) is int:
+        return v * d, 0
+    if type(v) is tuple:
+        return v[0] * d, v[1] * d
+    return (v.re.numerator * (d // v.re.denominator),
+            v.im.numerator * (d // v.im.denominator))
 
 
 def _integer_rows(rows):
@@ -628,7 +662,7 @@ def _integer_rows(rows):
         d = 1
         for v in row.values():
             if type(v) is not int:
-                if v.im is not _F0:
+                if type(v) is tuple or v.im is not _F0:
                     return None
                 d = lcm(d, v.re.denominator)
         out.append({c: v * d if type(v) is int
@@ -681,7 +715,8 @@ def rank_sparse(rows, ncols: int) -> int:
 def kernel_basis_sparse(rows, ncols: int):
     """Kernel basis of a sparse homogeneous system, RREF-canonical.
 
-    ``rows`` is an iterable of {col: int or GaussianRational} dicts.  Returns a list
+    ``rows`` is an iterable of {col: int or GaussianRational} dicts (or the
+    rows of a system builder, see :func:`_eliminate`).  Returns a list
     of dense tuple vectors of length ncols, one per free column, ordered by
     free column index.
     """

@@ -951,14 +951,23 @@ class PuiseuxSeries:
     def __repr__(self):
         return f"PuiseuxSeries(ram={self.ram!r}, coeffs={self.coeffs!r}, prec={self.prec!r})"
 
+    def _reduced(self) -> tuple:
+        """(ram, den, terms, prec) at the least ramification: ram, every k
+        and prec divided by their gcd.  Equal series reduce to one form."""
+        g = math.gcd(self.ram, self.prec or 0, *[t[0] for t in self.terms])
+        if g == 1:
+            return self.ram, self.den, self.terms, self.prec
+        return (self.ram // g, self.den,
+                tuple((k // g, d, x, y) for k, d, x, y in self.terms),
+                None if self.prec is None else self.prec // g)
+
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        a, b = self._common(self, other)
-        return a.den == b.den and a.terms == b.terms and a.prec == b.prec
+        return self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash((self.ram, self.den, self.terms, self.prec))
+        return hash(self._reduced())
 
     def lift_to_at_least(self, ram: int) -> "PuiseuxSeries":
         return self._lift(math.lcm(self.ram, ram))

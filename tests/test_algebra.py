@@ -28,7 +28,14 @@ from zinbiel5.algebra import (
 )
 from zinbiel5.catalog import family_members, list_ids
 from zinbiel5.cohomology import _cocycle_rows
-from zinbiel5.exactmath import ONE, ZERO, ExactMatrix, grat, kernel_basis_sparse
+from zinbiel5.exactmath import (
+    ONE,
+    ZERO,
+    ExactMatrix,
+    GaussianRational,
+    grat,
+    kernel_basis_sparse,
+)
 
 
 def alg(dim, *entries):
@@ -355,12 +362,17 @@ def _dense_derivation_rows(A):
 
 def _assert_rows_are_dense_rows_times_d(A, got, dense):
     """Each built row, in order, is the dense loop's row times D, the common
-    denominator of A's constants; every entry is an int when A is real."""
+    denominator of A's constants; every entry is an int when A is real, and
+    a Gaussian integer (re, im) of ints when it is not."""
     D = _integer_tensor(A)[1]
     got = [list(row.items()) for row in got]
-    assert got == [[(c, v * D) for c, v in row.items()] for row in dense]
     if all(not v.im for *_, v in A.entries()):
         assert all(type(v) is int for row in got for _, v in row)
+    else:
+        assert all(type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
+                   for row in got for _, v in row)
+        got = [[(c, GaussianRational(*v)) for c, v in row] for row in got]
+    assert got == [[(c, v * D) for c, v in row.items()] for row in dense]
 
 
 def test_integer_tensor_is_built_once_per_algebra_as_tuples():
@@ -565,6 +577,64 @@ def test_product_and_powers_match_qi_loop(A, data):
 @given(moved_specimens())
 def test_annihilator_matches_pairwise_rows_after_qi_basis_change(A):
     assert annihilator(A) == kernel_basis_sparse(_annihilator_rows_by_pairs(A), A.dim)
+
+
+def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
+    """The derivation, cocycle, annihilator, coboundary and power systems of
+    a Q(i)-moved algebra, and their ranks, construct no GaussianRational:
+    the builders hand the eliminator (re, im) int pairs, as a _Rows list."""
+    from zinbiel5 import exactmath
+    from zinbiel5.algebra import _annihilator_rows, _components, _nullity
+    from zinbiel5.cohomology import coboundary_dimension
+
+    A, B = qi_moved_z05
+    n = B.dim
+    mats, real = _components(B)
+    assert not real and _components(A)[1]
+
+    def invariants(X, method):
+        mats, real = _components(X)
+        return (
+            _nullity(_derivation_rows(X), n * n, method),
+            _nullity(_cocycle_rows(X), n * n, method),
+            _nullity(exactmath._Rows(_annihilator_rows(mats), real), n, method),
+            power_filtration(X).dims,
+            coboundary_dimension(X),
+        )
+
+    want = {method: invariants(A, method) for method in ("exact", "modular")}
+    fed = []
+    cleared_rows = exactmath._cleared_rows
+
+    def recording(rows):
+        fed.append(rows)
+        return cleared_rows(rows)
+
+    built = []
+    make, init = exactmath._make, GaussianRational.__init__
+
+    def counting_make(re, im):
+        built.append((re, im))
+        return make(re, im)
+
+    def counting_init(self, re=0, im=0):
+        built.append((re, im))
+        init(self, re, im)
+
+    monkeypatch.setattr(exactmath, "_cleared_rows", recording)
+    monkeypatch.setattr(exactmath, "_make", counting_make)
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    got = {method: invariants(B, method) for method in ("exact", "modular")}
+    assert built == []
+    annihilator(B)  # its kernel vectors are read, so they are built
+    monkeypatch.undo()
+    assert got == want
+    assert len(fed) >= 2 * 5 + 1  # at least one system per invariant and method
+    for rows in fed:
+        assert type(rows) is exactmath._Rows and not rows.real
+        assert all(row for row in rows)
+        assert all(type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
+                   and v != (0, 0) for row in rows for v in row.values())
 
 
 def test_purely_imaginary_products():

@@ -581,8 +581,9 @@ def test_verify_all_timings_go_to_stderr_only(capsys, fmt):
 
 
 def test_verify_all_timings_count_eliminations(capsys):
-    """--timings adds the systems per elimination ring to stderr only; every
-    suite system is real, so none is reduced over Z[i]."""
+    """--timings adds the systems per elimination ring, and the rows fed to
+    the eliminator, to stderr only; every suite system is real, so none is
+    reduced over Z[i]."""
     argv = ("catalog", "verify-all", "--checks", "h2,fingerprints", "--format", "json")
     plain = run(capsys, *argv)
     timed = run(capsys, *argv, "--timings")
@@ -592,6 +593,7 @@ def test_verify_all_timings_count_eliminations(capsys):
     counts = dict(field.split("=") for field in lines[-1].split()[1:-2])
     assert counts["gaussian"] == "0"
     assert int(counts["integer"]) > 0 and int(counts["modular"]) > 0
+    assert int(counts["rows"]) > 0
 
 
 _SAMPLE_RECORD = re.compile(

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zinbiel5.algebra import (
+    _annihilator_rows,
+    _components,
     algebra_from_entries,
     annihilator,
     check_identity,
@@ -23,7 +25,16 @@ from zinbiel5.cohomology import (
     _cocycle_rows,
     is_cocycle,
 )
-from zinbiel5.exactmath import ONE, ZERO, ExactMatrix, grat
+from zinbiel5.exactmath import (
+    ONE,
+    ZERO,
+    ExactMatrix,
+    GaussianRational,
+    grat,
+    kernel_basis_sparse,
+    nullity_mod_p,
+    rank_sparse,
+)
 
 
 def alg(dim, *entries):
@@ -295,6 +306,73 @@ def test_is_cocycle_on_integer_rows_matches_definition(case):
     base, m = case
     assert all(type(v) is int for row in _cocycle_rows(base) for v in row.values())
     assert is_cocycle(base, m) == _satisfies_cocycle_definition(base, m)
+
+
+def test_is_cocycle_on_gaussian_rows_of_a_moved_algebra(qi_moved_z05):
+    """The cocycle rows of a Q(i)-moved algebra are (re, im) pairs; is_cocycle
+    accepts its H^2 representatives and rejects a non-cocycle."""
+    _, B = qi_moved_z05
+    n = B.dim
+    rows = _cocycle_rows(B)
+    assert all(type(v) is tuple for row in rows for v in row.values())
+    basis = h2(B)
+    assert basis.reps
+    rep = basis.reps[0]
+    assert is_cocycle(B, rep) and _satisfies_cocycle_definition(B, rep)
+    # a dense cocycle with non-real entries meets the non-real row entries
+    combo = ExactMatrix.zeros(n, n)
+    for k, z in enumerate(basis.z2):
+        combo = combo + z * grat(f"{k + 1}-{k}/3*i")
+    assert sum(1 for x in _vec(combo) if x.im) > n
+    assert is_cocycle(B, combo) and _satisfies_cocycle_definition(B, combo)
+    units = [ExactMatrix([[ONE if (a, b) == (i, j) else ZERO for b in range(n)]
+                          for a in range(n)]) for i in range(n) for j in range(n)]
+    bad = next(u for u in units if not _satisfies_cocycle_definition(B, u))
+    assert not is_cocycle(B, bad)
+    assert not is_cocycle(B, combo + bad * grat("i"))
+
+
+def _all_gaussian(rows):
+    """The rows with every entry, int or (re, im) pair, as a GaussianRational."""
+    return [{c: GaussianRational(*v) if type(v) is tuple else grat(v) for c, v in row.items()}
+            for row in rows]
+
+
+@st.composite
+def mixed_systems(draw):
+    """The Ann(A) and Ann(theta) system of extension_wellformed: the forms of
+    an algebra (ints, or (re, im) pairs when a constant is not real) and
+    GaussianRational forms, plus one row that mixes both kinds."""
+    n = draw(st.integers(2, 3))
+    idx = st.integers(1, n)
+    coeff = st.sampled_from(["1", "-1", "2", "1/2", "i", "1-i", "-3/4*i"])
+    A = algebra_from_entries(n, draw(st.lists(st.tuples(idx, idx, idx, coeff), max_size=5)))
+    val = st.sampled_from(["0", "0", "1", "-2", "1/3", "i", "1-1/2*i"]).map(grat)
+    forms = draw(st.lists(st.lists(st.lists(val, min_size=n, max_size=n),
+                                   min_size=n, max_size=n), min_size=1, max_size=2))
+    rows = _annihilator_rows(_components(A)[0] + forms)
+    # and a row that mixes the entries of an algebra row and a form row
+    return A, rows + [{**rows[-1], **rows[0]}] if rows else rows
+
+
+@given(mixed_systems())
+@example((zero_algebra(3), [
+    {0: (1, 2), 1: grat("1/2"), 2: 1},
+    {0: 3, 1: (0, 1), 2: grat("-1/3*i")},
+    {0: (2, 4), 1: 1, 2: (2, 0)},  # the first row times 2 over Z[i]
+]))
+def test_mixed_and_gaussian_rows_reduce_alike(case):
+    """Mixed rows give the ranks and kernels of the same rows stated in
+    GaussianRational entries, and each kernel vector solves every row."""
+    A, rows = case
+    n = A.dim
+    exact = _all_gaussian(rows)
+    kernel = kernel_basis_sparse(rows, n)
+    assert kernel == kernel_basis_sparse(exact, n)
+    assert rank_sparse(rows, n) == rank_sparse(exact, n) == n - len(kernel)
+    assert nullity_mod_p(rows, n) == nullity_mod_p(exact, n) == len(kernel)
+    for v in kernel:
+        assert not any(sum((x * v[c] for c, x in row.items()), ZERO) for row in exact)
 
 
 # which forms are new classes modulo B^2 -------------------------------------

@@ -329,6 +329,16 @@ def test_integer_path_matches_fraction_loop(system):
     assert exactmath.ELIMINATIONS["gaussian"] == counts["gaussian"]
 
 
+def test_rows_counter_counts_every_row_fed_to_the_eliminator():
+    before = dict(exactmath.ELIMINATIONS)
+    rank_sparse([{0: 1}, {}, {1: grat("1/2")}], 2)  # cleared over Z
+    nullity_mod_p(iter([{0: I}, {0: 1, 1: 2}]), 2)  # cleared over Z[i], then mod P
+    kernel_basis_sparse(exactmath._Rows([{0: (1, 1)}, {0: (2, 2)}], False), 2)
+    rank_sparse(ExactMatrix([[1, 2], [3, 4], [5, 6]])._sparse_rows(), 2)
+    counts = {k: n - before[k] for k, n in exactmath.ELIMINATIONS.items()}
+    assert counts == {"integer": 2, "gaussian": 1, "modular": 1, "rows": 3 + 2 + 2 + 3}
+
+
 def test_integer_path_keeps_pivot_rows_primitive():
     pivots, integral = exactmath._eliminate([{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}])
     assert integral

@@ -335,6 +335,27 @@ def test_truthiness_means_not_the_exact_zero():
         assert x
 
 
+def test_equal_series_hash_equal_at_any_ramification():
+    t = expand_series("t")
+    lifted = t.lift_to_at_least(2)
+    assert lifted.ram == 2 and t == lifted and hash(t) == hash(lifted)
+    assert len({t, lifted}) == 1
+    # truncated series too: O(t^2) at ram 1 is O(t^(4/2)) at ram 2
+    x = expand_series("1+t") + _series(1, 2, {})
+    assert x.lift_to_at_least(3) == x and hash(x.lift_to_at_least(3)) == hash(x)
+    assert x != _series(1, 3, {0: 1, 1: 1})
+    assert len({x, x.lift_to_at_least(6), x.lift_to_at_least(4)}) == 1
+
+
+def test_equality_across_ramifications_beyond_the_cap():
+    # lcm(5, 7) = 35 exceeds RAMIFICATION_CAP; equality needs no common lift
+    fifth, seventh = PuiseuxSeries.t_power(F(1, 5)), PuiseuxSeries.t_power(F(1, 7))
+    assert fifth != seventh and not fifth == seventh
+    t = expand_series("t")
+    assert t.lift_to_at_least(5) == t.lift_to_at_least(7)
+    assert hash(t.lift_to_at_least(5)) == hash(t.lift_to_at_least(7))
+
+
 def test_parameter_substitution_with_series():
     # substituting a series-valued parameter composes the family
     f = expand_series("t-1")
