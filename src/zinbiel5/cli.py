@@ -523,6 +523,24 @@ def _rset_row(args) -> int:
     return _emit(payload, lines, args.format)
 
 
+def _verify_all_logging_samples(config):
+    """``verify_all``, printing to stderr, as they are written, the DEBUG
+    records of ``zinbiel5.degeneration``: one per certificate sample, with
+    its tier, truncation reached, determinant valuation and time.  The
+    handler is attached for this run only."""
+    import logging
+
+    log = logging.getLogger("zinbiel5.degeneration")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        return verify_all(config)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         tags = tuple(t for t in (args.tags or "").split(",") if t)
@@ -562,7 +580,10 @@ def _cmd_catalog(args) -> int:
         mode=args.mode,
         trunc=args.truncation,
     )
-    report = verify_all(config)
+    if args.timings:
+        report = _verify_all_logging_samples(config)
+    else:
+        report = verify_all(config)
     if args.format == "json":
         print(json.dumps(report.as_dict(), sort_keys=True, separators=(",", ":")))
     else:

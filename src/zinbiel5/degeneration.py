@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import mpmath
-
 from .algebra import (
     Algebra,
     annihilator,
@@ -35,6 +33,7 @@ from .series import (
     Radical,
     ScalarValueError,
     TConst,
+    _load_mpmath as _load_series_mpmath,
     _to_mpmath,
     collect_sqrt_keys,
     evaluate_numeric,
@@ -70,6 +69,19 @@ NUMERIC_PRECISION_BITS = 256
 # the numeric tier cannot resolve NUMERIC_TOLERANCE.
 MAX_TRUNCATION = 128
 MIN_PRECISION_BITS, MAX_PRECISION_BITS = 53, 8192
+# Bound on entry to the numeric tier, as in ``series``.
+mpmath = None
+
+
+def _load_mpmath():
+    """Bind ``mpmath`` here and in ``series``: the numeric tier's entry.
+
+    ``_lu``, ``_changes`` and the other helpers below read the bound name,
+    so they pay no import per call.
+    """
+    global mpmath
+    mpmath = _load_series_mpmath()
+    return mpmath
 
 
 @dataclass(frozen=True)
@@ -708,7 +720,7 @@ def _verify_numeric_sample(
     source, basis_grid, target, scalar_params, index_expr, keys,
     precision=NUMERIC_PRECISION_BITS,
 ):
-    with mpmath.workprec(precision):
+    with _load_mpmath().workprec(precision):
         best = None
         for branch in _branch_assignments(keys):
             status, failures, det_val, worst = _numeric_attempt(

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from zinbiel5 import cli
@@ -629,6 +630,124 @@ def test_degeneration_log_has_one_debug_record_per_sample(capsys, caplog):
     fields = [_SAMPLE_RECORD.fullmatch(r.getMessage()) for r in caplog.records]
     assert [(f["tier"], f["trunc"], f["det"]) for f in fields] == [
         ("exact", "2", "4"), ("numeric", "n/a", "4")]
+
+
+def test_verify_all_timings_print_each_certificate_sample(capsys):
+    """--timings prints each sample's DEBUG record before the per-check
+    lines, on stderr only, and detaches its handler after the run."""
+    logger = logging.getLogger("zinbiel5.degeneration")
+    level = logger.level
+    argv = ("catalog", "verify-all", "--checks", "degenerations")
+    plain = run(capsys, *argv)
+    timed = run(capsys, *argv, "--timings")
+    assert plain[:2] == timed[:2] and plain[0] == 0
+    assert logger.handlers == [] and logger.level == level
+    lines = timed[2].splitlines()
+    assert [ln.split()[0] for ln in lines[-2:]] == ["degenerations", "total"]
+    fields = [_SAMPLE_RECORD.fullmatch(ln) for ln in lines[:-2]]
+    assert all(fields), lines
+    expected = [(c.label, str(n)) for c in certificates()
+                for n in range(1, len(c.samples or ({},)) + 1)]
+    assert [(f["label"], f["n"]) for f in fields] == expected
+    assert {(f["tier"], f["trunc"]) for f in fields} == {("exact", "16")}
+
+
+# ---------------------------------------------------------------------------
+# mpmath is imported by the numeric tier only
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(script: str) -> str:
+    """Run script in a fresh interpreter, as this one has mpmath loaded;
+    return its stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_EXACT_RUNS = {
+    "cli-and-tables": (
+        "import zinbiel5.cli\n"
+        "from zinbiel5 import catalog\n"
+        "for load in (catalog.all_entries, catalog.extension_records, catalog.h2_tables,\n"
+        "             catalog.certificates, catalog.rset_rows, catalog.expected):\n"
+        "    load()\n"
+    ),
+    "verify-all": (
+        "from zinbiel5.catalog import SuiteConfig, verify_all\n"
+        "report = verify_all(SuiteConfig())\n"
+        "assert report.ok and len(report.checks) == 10\n"
+    ),
+    "certificates-auto-and-exact": (
+        "from zinbiel5.catalog import certificates\n"
+        "from zinbiel5.degeneration import verify_certificate\n"
+        "for mode in ('auto', 'exact'):\n"
+        "    reports = [verify_certificate(c, mode=mode) for c in certificates()]\n"
+        "    assert {(r.verdict, r.mode) for r in reports} == {('verified', 'exact')}\n"
+    ),
+    "qi-moved-fingerprint-and-h2": (
+        "from zinbiel5.algebra import change_basis, fingerprint\n"
+        "from zinbiel5.catalog import instantiate\n"
+        "from zinbiel5.cohomology import h2\n"
+        "from zinbiel5.exactmath import ZERO, ExactMatrix, grat\n"
+        "A = instantiate('Z_05')\n"
+        "B = change_basis(A, ExactMatrix([[grat('1+i') if i == j else grat('i')\n"
+        "    if j == i + 1 else ZERO for j in range(5)] for i in range(5)]))\n"
+        "assert fingerprint(B) == fingerprint(B, method='modular') == fingerprint(A)\n"
+        "assert h2(B).h2_dim == h2(A).h2_dim\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("script", _EXACT_RUNS.values(), ids=list(_EXACT_RUNS))
+def test_exact_paths_never_import_mpmath(script):
+    _fresh_python(script + "import sys\nassert 'mpmath' not in sys.modules\n")
+
+
+# (imports, the first numeric call) per numeric entry point
+_NUMERIC_CALLS = {
+    "verify_certificate": (
+        "from zinbiel5.catalog import certificates\n"
+        "from zinbiel5.degeneration import verify_certificate\n"
+        "cert = next(c for c in certificates() if c.label == 'Z_27 -> Z_28')\n",
+        "verify_certificate(cert, mode='numeric')",
+    ),
+    "evaluate_numeric": (
+        "from zinbiel5.series import evaluate_numeric\n",
+        "evaluate_numeric('sqrt(4*t^2-5)/(1+i*t)', '0.01')",
+    ),
+    "Radical.numeric": (
+        "from zinbiel5.exactmath import grat\n"
+        "from zinbiel5.series import sqrt_gaussian\n",
+        "(sqrt_gaussian(grat(2)) + sqrt_gaussian(grat(-3))).numeric()",
+    ),
+    "PuiseuxSeries.numeric_at": (
+        "from zinbiel5.series import expand_series\n",
+        "expand_series('sqrt(1+t)/(1-t)').numeric_at('1e-3')",
+    ),
+}
+
+
+@pytest.mark.parametrize("setup,call", _NUMERIC_CALLS.values(), ids=list(_NUMERIC_CALLS))
+def test_numeric_entry_point_imports_mpmath_on_first_call(setup, call):
+    """Each numeric entry point works as the first numeric call of a fresh
+    interpreter, and returns there what it returns here."""
+    fresh = _fresh_python(
+        f"import sys\n{setup}"
+        "assert 'mpmath' not in sys.modules\n"
+        f"value = {call}\n"
+        "assert 'mpmath' in sys.modules\n"
+        "print(repr(value))\n"
+    )
+    namespace = {}
+    exec(setup, namespace)
+    with mpmath.workprec(53):  # mpmath's default precision
+        here = eval(call, namespace)
+    assert fresh == f"{here!r}\n"
 
 
 # ---------------------------------------------------------------------------

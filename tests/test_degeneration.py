@@ -28,6 +28,7 @@ from zinbiel5.degeneration import (
     _bound_samples,
     _branch_assignments,
     _det_and_inverse,
+    _load_mpmath,
     _neville_at_zero,
     _resolve_source,
     transported_constants,
@@ -377,6 +378,7 @@ def _lu_entry(kind, re, im, den):
 def test_list_lu_matches_mpmath(spec):
     """_det_and_inverse is bit-identical to mpmath.det and mpmath.inverse, types included."""
     precision, rows = spec
+    _load_mpmath()  # called here without the numeric tier's entry
     with mpmath.workprec(precision):
         E = [[_lu_entry(*c) for c in row] for row in rows]
         got_det, got_inv = _det_and_inverse(E)
