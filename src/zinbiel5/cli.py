@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from time import perf_counter
 
 from .algebra import (
@@ -155,20 +156,16 @@ def _algebra_from_file(path: str) -> Algebra:
 
 
 def _catalog_algebra(args) -> Algebra:
-    """The algebra named by --algebra (with --dim for the zero algebra)."""
+    """The algebra named by --algebra, e.g. Z_02^3 or zero^4."""
     eid, params = parse_ref(args.algebra)
-    if getattr(args, "dim", None):
-        if eid != "zero":
-            raise CatalogError("--dim only applies to the zero algebra")
-        params = {"dim": args.dim, **params}
     return get(eid, params or None)
 
 
 def _resolve_algebra(args) -> Algebra:
-    if getattr(args, "file", None):
+    if bool(args.algebra) == bool(args.file):
+        raise CatalogError("an algebra is required: pass --algebra or --file, not both")
+    if args.file:
         return _algebra_from_file(args.file)
-    if not getattr(args, "algebra", None):
-        raise CatalogError("an algebra is required: pass --algebra or --file")
     return _catalog_algebra(args)
 
 
@@ -321,7 +318,7 @@ def _cmd_fingerprint(args) -> int:
 def _cmd_extend(args) -> int:
     # central_extension rejects a form that is not a cocycle (exit 2), so a
     # rendered report always has a cocycle
-    if args.child:
+    if args.child and not (args.algebra or args.file):
         eid, binding = parse_ref(args.child)
         rec = next((r for r in extension_records() if r.child == eid), None)
         if rec is None:
@@ -339,7 +336,7 @@ def _cmd_extend(args) -> int:
             "cocycle: " + ", ".join(_form_text(m) for m in form.mats),
         ]
         tail = [f"matches catalog constants: {x.matches}"]
-    elif args.algebra and args.file:
+    elif args.algebra and args.file and not args.child:
         parent = _catalog_algebra(args)
         comps = _cocycle_components(args.file, _load_json(args.file), parent.dim)
         form = delta_form(parent.dim, *comps)
@@ -353,7 +350,7 @@ def _cmd_extend(args) -> int:
     else:
         raise CatalogError(
             "extend needs either --child <id> or --algebra <parent> with "
-            "--file <cocycle.json>"
+            "--file <cocycle.json>, not both"
         )
     payload = {
         "command": "extend",
@@ -401,6 +398,8 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
+    if args.cert and args.label:
+        raise CatalogError("degenerate takes --cert or --label, not both")
     if args.cert:
         raw = _load_json(args.cert)
         if not isinstance(raw, dict):
@@ -412,16 +411,15 @@ def _cmd_degenerate(args) -> int:
             raise CatalogError(f"no catalog certificate labelled {args.label!r}")
     else:
         certs = certificates()
-    payloads, lines, elapsed = [], [], 0.0
-    for cert in certs:
-        start = perf_counter()
-        report = verify_certificate(
-            cert, mode=args.mode, trunc=args.truncation, precision=args.precision
-        )
-        seconds = perf_counter() - start
-        elapsed += seconds
-        if args.timings:
-            print(f"{cert.label:28s} {seconds:8.3f} s", file=sys.stderr)
+    with _timings(args.timings):
+        reports = [
+            verify_certificate(
+                cert, mode=args.mode, trunc=args.truncation, precision=args.precision
+            )
+            for cert in certs
+        ]
+    payloads, lines = [], []
+    for report in reports:
         payloads.append({
             "command": "degenerate",
             "label": report.label,
@@ -455,8 +453,6 @@ def _cmd_degenerate(args) -> int:
             lines.append(f"  sample [{ptxt}]: {s.verdict} ({s.mode}{extra})")
             for f in s.failures:
                 lines.append(f"    mismatch: {f}")
-    if args.timings:
-        print(f"{'total':28s} {elapsed:8.3f} s", file=sys.stderr)
     if args.cert or args.label:
         return _emit(payloads[0], lines, args.format)
     verdicts = Counter(p["verdict"] for p in payloads)
@@ -471,10 +467,10 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_rset(args) -> int:
-    if args.row:
+    if args.row and not (args.algebra or args.file):
         return _rset_row(args)
-    if not args.file:
-        raise CatalogError("rset needs --file <rset.json> or --row <source-id>")
+    if args.row or not args.file:
+        raise CatalogError("rset needs --file <rset.json> or --row <source-id>, not both")
     raw = _load_json(args.file)
     if not isinstance(raw, dict):
         raise CatalogError(f"{args.file}: expected an object")
@@ -523,22 +519,35 @@ def _rset_row(args) -> int:
     return _emit(payload, lines, args.format)
 
 
-def _verify_all_logging_samples(config):
-    """``verify_all``, printing to stderr, as they are written, the DEBUG
-    records of ``zinbiel5.degeneration``: one per certificate sample, with
-    its tier, truncation reached, determinant valuation and time.  The
-    handler is attached for this run only."""
+@contextmanager
+def _timings(enabled: bool):
+    """For ``--timings``: while the block runs, print to stderr, as they are
+    written, the DEBUG records of ``zinbiel5.degeneration``: one per
+    certificate sample, with its tier, truncation reached, determinant
+    valuation and time.  The handler is attached for the block only.  Then
+    print one ``total`` line: the systems the block row-reduced per
+    elimination path, and its wall time."""
+    if not enabled:
+        yield
+        return
     import logging
 
     log = logging.getLogger("zinbiel5.degeneration")
     handler, level = logging.StreamHandler(sys.stderr), log.level
     log.addHandler(handler)
     log.setLevel(logging.DEBUG)
+    before, start = dict(ELIMINATIONS), perf_counter()
     try:
-        return verify_all(config)
+        yield
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+    _timing_line("total", {k: n - before[k] for k, n in ELIMINATIONS.items()},
+                 perf_counter() - start)
+
+
+def _timing_line(name: str, counts: dict, seconds: float):
+    print(f"{name:14s} {_counts_text(counts)} {seconds:8.3f} s", file=sys.stderr)
 
 
 def _cmd_catalog(args) -> int:
@@ -575,27 +584,15 @@ def _cmd_catalog(args) -> int:
         return _emit(payload, lines, args.format)
     # verify-all
     checks = tuple(c for c in (args.checks or "").split(",") if c)
-    config = SuiteConfig(
-        checks=checks,
-        mode=args.mode,
-        trunc=args.truncation,
-    )
-    if args.timings:
-        report = _verify_all_logging_samples(config)
-    else:
-        report = verify_all(config)
+    with _timings(args.timings):
+        report = verify_all(SuiteConfig(checks=checks))
+        if args.timings:
+            for (name, seconds), (_, counts) in zip(report.timings, report.counters):
+                _timing_line(name, counts, seconds)
     if args.format == "json":
         print(json.dumps(report.as_dict(), sort_keys=True, separators=(",", ":")))
     else:
         print(report.as_text())
-    if args.timings:
-        totals = dict.fromkeys(ELIMINATIONS, 0)
-        for (name, seconds), (_, counts) in zip(report.timings, report.counters):
-            for k, n in counts.items():
-                totals[k] += n
-            print(f"{name:14s} {_counts_text(counts)} {seconds:8.3f} s", file=sys.stderr)
-        total = sum(s for _, s in report.timings)
-        print(f"{'total':14s} {_counts_text(totals)} {total:8.3f} s", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -621,13 +618,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src = argparse.ArgumentParser(add_help=False)
     src.add_argument(
         "--algebra", metavar="REF",
-        help="catalog reference id[^param], e.g. Z_02^3 or V_4+1^lam=2,mu=5",
+        help="catalog reference id[^param], e.g. Z_02^3, V_4+1^lam=2,mu=5 or "
+        "zero^N (the zero algebra of dimension N)",
     )
     src.add_argument("--file", metavar="PATH", help="algebra JSON file")
-    src.add_argument(
-        "--dim", type=int, metavar="N",
-        help="dimension (only with --algebra zero)",
-    )
 
     p = sub.add_parser("identity", parents=[src, fmt], help="check an identity")
     p.add_argument(
@@ -690,8 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timings", action="store_true",
-        help="print each certificate's verification wall time, and the total, "
-        "to stderr",
+        help="print each certificate sample's tier and time, and the total, to stderr",
     )
     p.set_defaults(fn=_cmd_degenerate)
 
@@ -706,12 +699,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", metavar="REF", help="reference for catalog get")
     p.add_argument("--tags", metavar="T1,T2", help="filter ids by tags")
     p.add_argument("--checks", metavar="C1,C2", help="subset of suite checks")
-    p.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
-    p.add_argument("--truncation", type=int, default=16, metavar="ORDER")
     p.add_argument(
         "--timings", action="store_true",
-        help="print each verify-all check's wall time and its systems per "
-        "elimination path to stderr",
+        help="print each certificate sample's tier and time, then each "
+        "verify-all check's wall time and its systems per elimination path, "
+        "to stderr",
     )
     p.set_defaults(fn=_cmd_catalog)
 

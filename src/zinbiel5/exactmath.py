@@ -378,9 +378,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
-    def scale(self, c) -> "ExactMatrix":
-        return self * grat(c)
-
     def _sparse_rows(self):
         return [{c: x for c, x in enumerate(row) if x} for row in self.rows]
 

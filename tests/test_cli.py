@@ -40,9 +40,7 @@ def test_h2_table_example(capsys):
 
 
 def test_identity_on_zero_algebra(capsys):
-    code, out, _ = run(
-        capsys, "identity", "--algebra", "zero", "--dim", "5", "--id", "zinbiel"
-    )
+    code, out, _ = run(capsys, "identity", "--algebra", "zero^5", "--id", "zinbiel")
     assert code == 0
     assert "pass" in out
 
@@ -165,9 +163,7 @@ def test_extend_every_catalog_child(capsys, child, ref):
 def test_extend_explicit_cocycle(capsys, tmp_path):
     coc = tmp_path / "cocycle.json"
     coc.write_text(json.dumps({"components": [[[1, 2, "1"], [2, 1, "2"]]]}))
-    code, out, _ = run(
-        capsys, "extend", "--algebra", "zero", "--dim", "2", "--file", str(coc)
-    )
+    code, out, _ = run(capsys, "extend", "--algebra", "zero^2", "--file", str(coc))
     assert code == 0
     assert "e1 e2 = e3" in out and "e2 e1 = 2*e3" in out
 
@@ -229,8 +225,7 @@ def test_extend_cocycle_json_parenthesizes_complex_coefficients(capsys, tmp_path
     coc = tmp_path / "cocycle.json"
     coc.write_text(json.dumps({"components": [[[1, 2, "1/2+i"], [2, 1, "-i"]]]}))
     code, out, _ = run(
-        capsys, "extend", "--algebra", "zero", "--dim", "2", "--file", str(coc),
-        "--format", "json",
+        capsys, "extend", "--algebra", "zero^2", "--file", str(coc), "--format", "json",
     )
     assert code == 0
     assert json.loads(out)["cocycle"] == ["(1/2+i)*D12-i*D21"]
@@ -397,16 +392,26 @@ def test_certificate_file_takes_integer_scalars(capsys, tmp_path):
 
 
 def test_degenerate_timings_go_to_stderr_only(capsys):
-    argv = ["degenerate", "--label", "Z_22 -> Z_16", "--mode", "numeric"]
+    """--timings prints each sample's DEBUG record, then one total line
+    covering them, on stderr only, and detaches its handler after the run."""
+    logger = logging.getLogger("zinbiel5.degeneration")
+    level = logger.level
+    label = "Z_22 -> Z_16"
+    argv = ["degenerate", "--label", label, "--mode", "numeric"]
     plain = run(capsys, *argv)
     timed = run(capsys, *argv, "--timings")
     assert plain[:2] == timed[:2] and plain[0] == 0
     assert plain[2] == ""
+    assert logger.handlers == [] and logger.level == level
     lines = timed[2].splitlines()
-    assert [ln.split()[0] for ln in lines] == ["Z_22", "total"]
-    seconds = [float(ln.split()[-2]) for ln in lines]
-    assert all(ln.endswith(" s") for ln in lines)
-    assert seconds[-1] == pytest.approx(sum(seconds[:-1]), abs=0.01)
+    fields = [_SAMPLE_RECORD.fullmatch(ln) for ln in lines[:-1]]
+    assert all(fields), lines
+    cert = next(c for c in certificates() if c.label == label)
+    assert [(f["label"], f["n"], f["tier"]) for f in fields] == [
+        (label, str(n), "numeric") for n in range(1, len(cert.samples or ({},)) + 1)]
+    assert lines[-1].split()[0] == "total" and lines[-1].endswith(" s")
+    sample_ms = sum(float(ln.split()[-2]) for ln in lines[:-1])
+    assert float(lines[-1].split()[-2]) >= sample_ms / 1000 - 0.001
 
 
 def test_degenerate_without_a_selection_verifies_every_certificate(capsys, monkeypatch):
@@ -772,8 +777,31 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "ann", "--algebra", "Z_99")[0] == 2
     assert run(capsys, "ann")[0] == 2
-    assert run(capsys, "identity", "--algebra", "Z_01", "--dim", "4")[0] == 2
     assert run(capsys, "degenerate", "--label", "nope -> nope")[0] == 2
+
+
+# Two selections of what to check: each file below is valid on its own, so
+# the command must refuse the pair rather than read one and drop the other.
+CONFLICTS = {
+    "degenerate": (["degenerate", "--label", "Z_27 -> Z_28", "--cert"], CERT),
+    "identity": (["identity", "--algebra", "Z_01", "--file"],
+                 {"dim": 2, "entries": [[1, 1, 2, "1"]]}),
+    "extend": (["extend", "--child", "Z_24", "--algebra", "N_01", "--file"],
+               {"components": [[[1, 2, "1"]]]}),
+    "rset": (["rset", "--row", "Z_14", "--algebra", "Z_27", "--file"],
+             {"equations": ["c111"]}),
+}
+
+
+@pytest.mark.parametrize("command", CONFLICTS)
+def test_conflicting_selections_exit_2(capsys, tmp_path, command):
+    argv, content = CONFLICTS[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("not both\n")
+    assert err.count("\n") == 1
 
 
 def test_data_errors_exit_2(capsys, tmp_path):
@@ -805,9 +833,7 @@ def test_algebra_file_dim_out_of_range_exits_2(capsys, tmp_path, dim):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "ref", [("zero", "--dim", str(MAX_DIM + 1)), (f"zero^{MAX_DIM + 1}",)]
-)
+@pytest.mark.parametrize("ref", [("zero",), ("zero^0",), (f"zero^{MAX_DIM + 1}",)])
 def test_zero_algebra_dim_out_of_range_exits_2(capsys, ref):
     code, out, err = run(capsys, "ann", "--algebra", *ref)
     assert code == 2
@@ -837,11 +863,6 @@ def test_division_by_zero_in_parameter_exits_2(capsys, ref):
 def test_truncation_and_precision_out_of_range_exit_2(capsys, argv, message):
     code, out, err = run(capsys, "degenerate", "--label", "Z_27 -> Z_28", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
-    if argv[0] == "--truncation":
-        code, out, err = run(
-            capsys, "catalog", "verify-all", "--checks", "degenerations", *argv
-        )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_excluded_family_value_exits_2(capsys):
@@ -858,7 +879,7 @@ def test_non_exact_scalar_in_matrix_or_cocycle_exits_2(capsys, tmp_path, value):
     coc.write_text(json.dumps({"components": [[[1, 2, value]]]}))
     for argv in (
         ("act", "--algebra", "zero^2", "--matrix", str(mat)),
-        ("extend", "--algebra", "zero", "--dim", "2", "--file", str(coc)),
+        ("extend", "--algebra", "zero^2", "--file", str(coc)),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -872,9 +893,7 @@ def test_non_exact_scalar_in_matrix_or_cocycle_exits_2(capsys, tmp_path, value):
 def test_malformed_cocycle_file_exits_2(capsys, tmp_path, components):
     coc = tmp_path / "c.json"
     coc.write_text(json.dumps({"components": components}))
-    code, _, err = run(
-        capsys, "extend", "--algebra", "zero", "--dim", "2", "--file", str(coc)
-    )
+    code, _, err = run(capsys, "extend", "--algebra", "zero^2", "--file", str(coc))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
 
