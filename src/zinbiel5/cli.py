@@ -550,39 +550,40 @@ def _timing_line(name: str, counts: dict, seconds: float):
     print(f"{name:14s} {_counts_text(counts)} {seconds:8.3f} s", file=sys.stderr)
 
 
-def _cmd_catalog(args) -> int:
-    if args.action == "list":
-        tags = tuple(t for t in (args.tags or "").split(",") if t)
-        ids = list_ids(tags) if tags else list_ids()
-        payload = {"command": "catalog list", "ids": list(ids), "verdict": "pass"}
-        return _emit(payload, list(ids), args.format)
-    if args.action == "get":
-        if not args.algebra:
-            raise CatalogError("catalog get needs --algebra")
-        eid, params = parse_ref(args.algebra)
-        if params:
-            A = get(eid, params)
-            payload = {
-                "command": "catalog get",
-                "id": eid,
-                "label": A.label,
-                "dim": A.dim,
-                "entries": _entries_payload(A),
-                "verdict": "pass",
-            }
-            lines = [A.label, f"dim {A.dim}"] + _entries_text(A)
-            return _emit(payload, lines, args.format)
-        e = entry(eid)
-        payload = json.loads(entry_to_json(e))
-        payload["verdict"] = "pass"
-        lines = [e.id, f"dim {e.dim}", "tags: " + ", ".join(e.tags)]
-        if e.symbols:
-            lines.append("parameters: " + ", ".join(e.symbols))
-        lines += _entries_text(get(eid)) if not e.symbols else [
-            f"{i},{j},{k} -> {v}" for (i, j, k, v) in e.entries
-        ]
+def _cmd_catalog_list(args) -> int:
+    tags = tuple(t for t in (args.tags or "").split(",") if t)
+    ids = list_ids(tags) if tags else list_ids()
+    payload = {"command": "catalog list", "ids": list(ids), "verdict": "pass"}
+    return _emit(payload, list(ids), args.format)
+
+
+def _cmd_catalog_get(args) -> int:
+    eid, params = parse_ref(args.algebra)
+    if params:
+        A = get(eid, params)
+        payload = {
+            "command": "catalog get",
+            "id": eid,
+            "label": A.label,
+            "dim": A.dim,
+            "entries": _entries_payload(A),
+            "verdict": "pass",
+        }
+        lines = [A.label, f"dim {A.dim}"] + _entries_text(A)
         return _emit(payload, lines, args.format)
-    # verify-all
+    e = entry(eid)
+    payload = json.loads(entry_to_json(e))
+    payload["verdict"] = "pass"
+    lines = [e.id, f"dim {e.dim}", "tags: " + ", ".join(e.tags)]
+    if e.symbols:
+        lines.append("parameters: " + ", ".join(e.symbols))
+    lines += _entries_text(get(eid)) if not e.symbols else [
+        f"{i},{j},{k} -> {v}" for (i, j, k, v) in e.entries
+    ]
+    return _emit(payload, lines, args.format)
+
+
+def _cmd_catalog_verify_all(args) -> int:
     checks = tuple(c for c in (args.checks or "").split(",") if c)
     with _timings(args.timings):
         report = verify_all(SuiteConfig(checks=checks))
@@ -601,8 +602,15 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zinbiel5",
         description=(
             "Exact verification toolkit for five-dimensional Zinbiel algebras"
@@ -695,9 +703,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rset)
 
     p = sub.add_parser("catalog", parents=[fmt], help="catalog operations")
-    p.add_argument("action", choices=("list", "get", "verify-all"))
-    p.add_argument("--algebra", metavar="REF", help="reference for catalog get")
+    # --format is accepted before or after the action; given after it, it
+    # must not reset a value given before it to the default
+    action_fmt = argparse.ArgumentParser(add_help=False)
+    action_fmt.add_argument(
+        "--format", choices=("text", "json"), default=argparse.SUPPRESS,
+        help="output format (default text; json is canonical)",
+    )
+    actions = p.add_subparsers(dest="action", required=True)
+
+    p = actions.add_parser("list", parents=[action_fmt], help="list catalog ids")
     p.add_argument("--tags", metavar="T1,T2", help="filter ids by tags")
+    p.set_defaults(fn=_cmd_catalog_list)
+
+    p = actions.add_parser("get", parents=[action_fmt], help="one catalog entry")
+    p.add_argument("--algebra", required=True, metavar="REF", help="catalog reference")
+    p.set_defaults(fn=_cmd_catalog_get)
+
+    p = actions.add_parser(
+        "verify-all", parents=[action_fmt], help="the reproduction suite"
+    )
     p.add_argument("--checks", metavar="C1,C2", help="subset of suite checks")
     p.add_argument(
         "--timings", action="store_true",
@@ -705,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-all check's wall time and its systems per elimination path, "
         "to stderr",
     )
-    p.set_defaults(fn=_cmd_catalog)
+    p.set_defaults(fn=_cmd_catalog_verify_all)
 
     return parser
 

@@ -10,7 +10,10 @@ operation.
 Every linear system, dense (``ExactMatrix``) or sparse (:func:`rank_sparse`,
 :func:`kernel_basis_sparse`, :func:`nullity_mod_p`), is row-reduced by one
 Gauss-Jordan loop, :func:`_gauss_jordan`, given the two row operations of its
-ring.  Its rows are {col: coeff} dicts over Z or Z[i]:
+ring.  It takes the rows last-first, which the system builders' mostly
+ascending leading columns make the cheaper order, and the unique RREF makes
+a safe one (see :func:`_gauss_jordan`).  Its rows are {col: coeff} dicts
+over Z or Z[i]:
 
 * over Z, a real system: row <- (L*row - f*pivot)/gcd(L, f), with L the
   pivot entry, each row kept primitive and positive at its pivot;
@@ -31,10 +34,11 @@ Z and Z[i] are integral domains and the work is fraction-free, so the RREF
 is exact with no proof step; no ``Fraction`` is built during elimination,
 and the RREF entries a caller reads are built once each, as v/L.  The cost
 is coefficient growth on large dense systems (a random dense full-rank
-80 x 80 Q(i) matrix takes seconds); the systems here come from algebras of
-dimension at most 16, the input cap.  ``ExactMatrix.det`` keeps its own
-elimination as an independent oracle for rank.  ``ELIMINATIONS`` counts
-the systems reduced over each ring and the rows fed to the eliminator.
+80 x 80 Q(i) matrix takes seconds, in either row order); the systems here
+come from algebras of dimension at most 16, the input cap.
+``ExactMatrix.det`` keeps its own elimination as an independent oracle for
+rank.  ``ELIMINATIONS`` counts the systems reduced over each ring and the
+rows fed to the eliminator.
 """
 from __future__ import annotations
 
@@ -467,16 +471,26 @@ _S = pow(29, (_P - 1) // 4, _P)
 
 
 def _gauss_jordan(rows, subtract, normalize):
-    """Online RREF of sparse rows over the ring of the two row operations.
+    """Online RREF of a list of sparse rows over the ring of the two row
+    operations.
 
     ``subtract(row, c, pivot)`` clears column c of ``row`` with the pivot
     row of c, in place; ``normalize(row, lead)`` scales a row to its normal
     form at its least column ``lead``.  Returns dict pivot_col -> row: each
     row is nonzero at its pivot, its least column, and zero in every other
     pivot column.  The input rows are not modified.
+
+    The rows are taken last-first.  A new pivot column is cleared from
+    every earlier pivot row that holds it, and each such row is normalized
+    again; a row can hold only columns right of its own pivot.  The system
+    builders emit rows with mostly ascending leading columns, so in their
+    own order a new pivot tends to land right of the earlier ones and be
+    held by them; taken last-first it tends to land left of them.  Each
+    pivot row is the unique RREF row of its column in normal form, so the
+    order changes the work and the dict's insertion order, nothing else.
     """
     pivots: dict[int, dict] = {}
-    for row in rows:
+    for row in reversed(rows):
         row = dict(row)
         for c in [c for c in row if c in pivots]:
             subtract(row, c, pivots[c])
@@ -741,8 +755,8 @@ def nullity_mod_p(rows, ncols: int) -> int:
     ELIMINATIONS["modular"] += 1
     rows, real = _cleared_rows(rows)
     if real:
-        image = ({c: m for c, v in row.items() if (m := v % _P)} for row in rows)
+        image = [{c: m for c, v in row.items() if (m := v % _P)} for row in rows]
     else:
-        image = ({c: m for c, (a, b) in row.items() if (m := (a + b * _S) % _P)}
-                 for row in rows)
+        image = [{c: m for c, (a, b) in row.items() if (m := (a + b * _S) % _P)}
+                 for row in rows]
     return ncols - len(_gauss_jordan(image, _modp_subtract, _modp_normalize))

@@ -780,6 +780,33 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "degenerate", "--label", "nope -> nope")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("catalog", "list", "--checks", "nope"),
+    ("catalog", "list", "--algebra", "Z_99"),
+    ("catalog", "get", "--algebra", "Z_01", "--tags", "theoremA"),
+    ("catalog", "get", "--algebra", "Z_01", "--timings"),
+    ("catalog", "verify-all", "--checks", "squares", "--algebra", "Z_99"),
+    ("catalog", "verify-all", "--checks", "squares", "--tags", "nope"),
+    ("catalog", "get"),
+    ("catalog",),
+], ids="-".join)
+def test_catalog_flag_of_another_action_is_a_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: zinbiel5") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--format", "json", "list", "--tags", "theoremA"),
+    ("catalog", "list", "--tags", "theoremA", "--format", "json"),
+    ("catalog", "--format", "json", "get", "--algebra", "Z_02^3"),
+    ("catalog", "--format", "text", "get", "--algebra", "Z_02^3", "--format", "json"),
+])
+def test_catalog_format_goes_before_or_after_the_action(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 # Two selections of what to check: each file below is valid on its own, so
 # the command must refuse the pair rather than read one and drop the other.
 CONFLICTS = {

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zinbiel5 import exactmath
 from zinbiel5.exactmath import (
@@ -462,3 +462,67 @@ def test_constructor_rejects_bad_values_with_value_error():
         with pytest.raises(ValueError) as info:
             GaussianRational(0, bad)
         assert len(str(info.value)) < 80
+
+
+# ---------------------------------------------------------------------------
+# feed order: the reduction of a row space does not depend on its row order
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def complex_systems(draw):
+    """(rows, ncols): a real system (see :func:`real_systems`) with one
+    entry made non-real, so that it reduces over Z[i]."""
+    rows, ncols = draw(real_systems())
+    if not rows:
+        rows.append({})
+    row = draw(st.sampled_from(rows))
+    row[draw(st.integers(0, ncols - 1))] = draw(complex_scalars)
+    return rows, ncols
+
+
+def _modp_pivots(rows):
+    """The GF(P) pivot rows of :func:`nullity_mod_p`'s reduction of rows."""
+    cleared, real = exactmath._cleared_rows(rows)
+    image = [{c: m for c, v in row.items()
+              if (m := (v if real else v[0] + v[1] * exactmath._S) % P)}
+             for row in cleared]
+    return exactmath._gauss_jordan(image, exactmath._modp_subtract,
+                                   exactmath._modp_normalize)
+
+
+def _assert_order_free(rows, fed, ncols):
+    """rows and fed, a permutation of them, reduce alike over Z or Z[i] and
+    over GF(P), as lists and as generators."""
+    assert exactmath._eliminate(fed) == exactmath._eliminate(rows)
+    assert _modp_pivots(fed) == _modp_pivots(rows)
+    rank = rank_sparse(rows, ncols)
+    nullity = nullity_mod_p(rows, ncols)
+    assert rank_sparse(fed, ncols) == rank_sparse((r for r in fed), ncols) == rank
+    assert nullity_mod_p(fed, ncols) == nullity_mod_p((r for r in fed), ncols) == nullity
+    assert kernel_basis_sparse(fed, ncols) == kernel_basis_sparse(rows, ncols)
+
+
+@given(st.one_of(real_systems(), complex_systems()), st.data())
+def test_row_order_does_not_change_the_reduction(system, data):
+    rows, ncols = system
+    order = data.draw(st.permutations(range(len(rows))))
+    _assert_order_free(rows, [rows[k] for k in order], ncols)
+    _assert_order_free(rows, rows[::-1], ncols)
+
+
+@pytest.mark.parametrize("builder", ["derivation", "cocycle"])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_builder_systems_reduce_alike_in_any_row_order(qi_moved_z05, builder, data):
+    """The derivation and cocycle systems of Z_05 (over Z) and of Z_05 in a
+    Q(i) basis (over Z[i]), shuffled or reversed, keep their pivot rows."""
+    from zinbiel5.algebra import _derivation_rows
+    from zinbiel5.cohomology import _cocycle_rows
+
+    build = _derivation_rows if builder == "derivation" else _cocycle_rows
+    for A in qi_moved_z05:
+        rows = build(A)
+        order = data.draw(st.permutations(range(len(rows))))
+        for fed in ([rows[k] for k in order], rows[::-1]):
+            _assert_order_free(rows, exactmath._Rows(fed, rows.real), A.dim**2)
