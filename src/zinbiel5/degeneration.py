@@ -9,6 +9,15 @@ the numeric tier evaluates the same transport with mpmath along a ladder of
 t values and extrapolates to t = 0 (Neville).  Both tiers evaluate entries
 through the one expression evaluator of ``series``, share one transport
 loop, and report through ``SampleResult``.
+
+A numeric attempt (one sample on one branch) runs at one precision, so it
+computes once what no rung of the ladder changes: each subtree of the basis
+grid, the index and the source constants that mentions neither t nor the
+index symbol, and the differences of Neville's tableau.  Per rung it
+evaluates the rest of each tree, factors the basis and transports the
+constants.  A value computed once comes from the same operations on the same
+operands at the same precision as the rung's own, so it is the same mpmath
+number, and no report can change by a bit.
 """
 from __future__ import annotations
 
@@ -33,6 +42,7 @@ from .series import (
     Radical,
     ScalarValueError,
     TConst,
+    _fold_numeric,
     _load_mpmath as _load_series_mpmath,
     _to_mpmath,
     collect_sqrt_keys,
@@ -238,6 +248,9 @@ def _transport(dim, entries, E, inv, value, zero):
     exact zero, for a mpmath number and for a series alike (a truncated
     series with no known term is truthy), so every skipped term is
     provably zero and the nonzero terms keep their arithmetic and order.
+    The contraction scans each w[i][j] for its nonzero terms once, not once
+    per k: the same terms in the same order, so both tiers' results are the
+    ones a per-k scan gives, down to a series' representation.
     """
     w = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for a, b, k, expr in entries:
@@ -253,16 +266,12 @@ def _transport(dim, entries, E, inv, value, zero):
                 if not Ejb:
                     continue
                 w[i][j][k - 1] = w[i][j][k - 1] + Eia * Ejb * c
-    return tuple(
-        tuple(
-            tuple(
-                sum((wm * inv[m][k] for m, wm in enumerate(w[i][j]) if wm), zero)
-                for k in range(dim)
-            )
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+
+    def contract(wij):
+        terms = [(m, wm) for m, wm in enumerate(wij) if wm]
+        return tuple(sum((wm * inv[m][k] for m, wm in terms), zero) for k in range(dim))
+
+    return tuple(tuple(contract(wij) for wij in wi) for wi in w)
 
 
 def transported_constants(
@@ -389,23 +398,26 @@ def _exact_attempt(source, basis_grid, target, series_params, branch, trunc):
     return "verified", (), det_val
 
 
-def _neville_at_zero(xs, ys):
-    """Neville extrapolation of (xs, ys) to x = 0.
+def _neville_differences(xs):
+    """The denominators x_(k+level) - x_k of Neville's tableau over xs, per level."""
+    n = len(xs)
+    return [[xs[k + level] - xs[k] for k in range(n - level)] for level in range(1, n)]
+
+
+def _neville_at_zero(xs, dxs, ys):
+    """Neville extrapolation of (xs, ys) to x = 0; dxs is ``_neville_differences(xs)``.
 
     An all-zero ladder extrapolates to its own exact zero, which is what
     the recurrence computes from it term by term.
     """
     if not any(ys):
         return ys[0]
-    n = len(xs)
     tab = list(ys)
-    for level in range(1, n):
-        new = []
-        for k in range(n - level):
-            x0, x1 = xs[k], xs[k + level]
-            val = (x1 * tab[k] - x0 * tab[k + 1]) / (x1 - x0)
-            new.append(val)
-        tab = new
+    for level, dx in enumerate(dxs, 1):
+        tab = [
+            (xs[k + level] * tab[k] - xs[k] * tab[k + 1]) / d
+            for k, d in enumerate(dx)
+        ]
     return tab[0]
 
 
@@ -520,11 +532,20 @@ def _det_and_inverse(E):
 def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, branch):
     """Numeric transport along the t-ladder with Neville extrapolation to t = 0.
 
-    Each rung's basis gets its determinant and inverse from
-    ``_det_and_inverse``: plain-list LUs that compute what ``mpmath.det``
-    (at the working precision) and ``mpmath.inverse`` (at 10 bits more)
-    compute.  A basis that is numerically singular at any rung, including
-    one with a column left without a pivot, makes the attempt inconclusive.
+    The attempt runs at one precision and on one branch, so what no rung
+    changes is computed once, before the ladder: ``_fold_numeric`` evaluates
+    every subtree of the basis grid, the index and the source constants
+    that mentions neither t nor the index symbol, and ``_neville_differences``
+    the denominators of the extrapolation.  Each is the same mpmath number
+    the rung would compute, so every report is bit-identical to evaluating
+    whole trees per rung.  Per rung: the t-dependent rest of the trees, and
+    the basis's determinant and inverse from ``_det_and_inverse``,
+    plain-list LUs that compute what ``mpmath.det`` (at the working
+    precision) and ``mpmath.inverse`` (at 10 bits more) compute.  A basis
+    that is numerically singular at any rung, including one with a column
+    left without a pivot, makes the attempt inconclusive.  An entry whose
+    ladder and target are both the exact zero has error exactly 0 and takes
+    no extrapolation.
     """
     dim = source.dim
     try:
@@ -539,35 +560,44 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
         if ram <= 3
         else tuple(f"1e-{k}" for k in range(2, 14))
     )
+    free = () if index_expr is None else source.symbols[:1]
+    basis = [[_fold_numeric(e, scalar_params, branch, free) for e in row] for row in basis_grid]
+    entries = [(a, b, k, _fold_numeric(e, scalar_params, branch, free))
+               for a, b, k, e in source.entries]
+    index = None if index_expr is None else _fold_numeric(index_expr, scalar_params, branch)
     samples = []
     dets = []
     for tstr in ladder:
         tval = mpmath.mpf(tstr)
         params_t = dict(scalar_params)
-        if index_expr is not None:
+        if index is not None:
             params_t[source.symbols[0]] = evaluate_numeric(
-                index_expr, tval, params=scalar_params, branch=branch
+                index, tval, params=scalar_params, branch=branch
             )
 
         def value(e):
             return evaluate_numeric(e, tval, params=params_t, branch=branch)
 
-        E = [[value(e) for e in row] for row in basis_grid]
+        E = [[value(e) for e in row] for row in basis]
         det, inv = _det_and_inverse(E)
         if inv is None:
             return "inconclusive", (), None, str(mpmath.mpf(1))
         dets.append((tval, det))
-        grid = _transport(dim, source.entries, E, inv, value, mpmath.mpc(0))
+        grid = _transport(dim, entries, E, inv, value, mpmath.mpc(0))
         samples.append((tval, grid))
     xs = [mpmath.power(tval, mpmath.mpf(1) / ram) for tval, _ in samples]
+    dxs = _neville_differences(xs)
     failures = []
     worst = mpmath.mpf(0)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 ys = [g[i][j][k] for _, g in samples]
-                limit = _neville_at_zero(xs, ys)
-                tnum = _to_mpmath(target.c[i][j][k])
+                c = target.c[i][j][k]
+                if not c and not any(ys):
+                    continue
+                limit = _neville_at_zero(xs, dxs, ys)
+                tnum = _to_mpmath(c)
                 err = abs(limit - tnum) / max(1, abs(tnum))
                 worst = max(worst, err)
                 if err > tol:

@@ -180,12 +180,25 @@ class TConst(TExpression):
     value: GaussianRational
 
 
-# each binary node's spelling and operation
+class _TFolded(TExpression):
+    """A subtree of the numeric tier evaluated once: its mpmath value and the
+    subtree itself, which ``to_text`` renders (a branch key reads it).  A
+    plain class: a dataclass would add about a millisecond to every start-up."""
+
+    __slots__ = ("value", "source")
+
+    def __init__(self, value, source: TExpression):
+        self.value = value
+        self.source = source
+
+
+# each binary node's spelling and operation; a quotient is the evaluation
+# context's ``divide``, so that the series context can honour its truncation
 _BINARY = {
     TAdd: ("+", operator.add),
     TSub: ("-", operator.sub),
     TMul: ("*", operator.mul),
-    TDiv: ("/", operator.truediv),
+    TDiv: ("/", None),
 }
 
 _TOKEN = re.compile(
@@ -398,6 +411,8 @@ def to_text(e: TExpression) -> str:
         return f"({to_text(e.base)}^{ex})"
     if isinstance(e, TSqrt):
         return f"sqrt({to_text(e.arg)})"
+    if isinstance(e, _TFolded):
+        return to_text(e.source)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -1042,6 +1057,11 @@ class _SeriesContext:
             raise NonExpandable(f"unbound parameter {name!r}")
         return PuiseuxSeries._coerce(self.params[name]).lift_to_at_least(self.ram)
 
+    def divide(self, x, y):
+        if not y:
+            raise ZeroDivisionError("division by the zero series")
+        return x * y.inverse(self.trunc)
+
     def power(self, x, e, key):
         return x.pow(e, branch=self.branch.get(key, 1), trunc=self.trunc)
 
@@ -1053,6 +1073,8 @@ class _ScalarContext:
 
     def number(self, value):
         return grat(value)
+
+    divide = staticmethod(operator.truediv)
 
     def imaginary(self):
         return GaussianRational(0, 1)
@@ -1095,6 +1117,7 @@ class _NumericContext:
         self.branch = branch or {}
 
     number = staticmethod(_to_mpmath)
+    divide = staticmethod(operator.truediv)
 
     def imaginary(self):
         return mpmath.mpc(0, 1)
@@ -1117,6 +1140,8 @@ class _NumericContext:
 
 
 def _evaluate(e: TExpression, ctx):
+    if type(e) is _TFolded:
+        return e.value
     if isinstance(e, (TNum, TConst)):
         return ctx.number(e.value)
     if isinstance(e, TImag):
@@ -1128,7 +1153,8 @@ def _evaluate(e: TExpression, ctx):
     if isinstance(e, TNeg):
         return -_evaluate(e.arg, ctx)
     if type(e) in _BINARY:
-        return _BINARY[type(e)][1](_evaluate(e.left, ctx), _evaluate(e.right, ctx))
+        op = _BINARY[type(e)][1] or ctx.divide
+        return op(_evaluate(e.left, ctx), _evaluate(e.right, ctx))
     if isinstance(e, TPow):
         return ctx.power(_evaluate(e.base, ctx), e.exponent, to_text(e.base))
     if isinstance(e, TSqrt):
@@ -1146,7 +1172,8 @@ def expand_series(
     """Expand an expression as an exact Puiseux series about t = 0.
 
     ram is the starting ramification (operations lift it as needed, up to
-    the cap); trunc bounds the relative order kept by inversions and roots.
+    the cap); trunc bounds the relative order kept by inversions, quotients
+    and roots.
     Raises NonExpandable when the exact tier cannot represent the value.
     """
     e = parse_expression(expr)
@@ -1173,3 +1200,47 @@ def evaluate_numeric(expr, tval, params=None, branch=None):
     """Evaluate at a numeric t with mpmath at the caller's precision."""
     _load_mpmath()
     return _evaluate(parse_expression(expr), _NumericContext(tval, params, branch))
+
+
+def _fold_numeric(expr, params=None, branch=None, free=()):
+    """expr with each subtree that mentions neither t nor a symbol of free
+    evaluated once, as ``evaluate_numeric`` evaluates it at any t.
+
+    The numeric tier evaluates one tree at many values of t, and of the
+    symbols in free, at one precision and on one branch.  A subtree that
+    mentions none of them takes the same operations on the same operands at
+    every such value, so its value is computed here, at the caller's
+    precision, and kept in the tree; evaluating the result with the same
+    params and branch then gives every number bit for bit as evaluating
+    expr does.  A subtree whose evaluation raises is kept as it is, so it
+    raises where and as it did.
+    """
+    _load_mpmath()
+    return _fold(parse_expression(expr), _NumericContext(0, params, branch), frozenset(free))[0]
+
+
+def _fold(e: TExpression, ctx, free):
+    """(tree, folded): e with its foldable subtrees folded, and whether the
+    whole of e was folded."""
+    if isinstance(e, TVar) or (isinstance(e, TSym) and e.name in free):
+        return e, False
+    if isinstance(e, (TNeg, TSqrt)):
+        arg, whole = _fold(e.arg, ctx, free)
+        node = type(e)(arg)
+    elif type(e) in _BINARY:
+        (left, whole_left), (right, whole) = _fold(e.left, ctx, free), _fold(e.right, ctx, free)
+        node, whole = type(e)(left, right), whole_left and whole
+    elif isinstance(e, TPow):
+        base, whole = _fold(e.base, ctx, free)
+        node = TPow(base, e.exponent)
+    else:
+        node, whole = e, True
+    if whole:
+        try:
+            return _TFolded(_evaluate(node, ctx), e), True
+        except Exception:
+            # Whatever it raises, the rung that evaluates it raises again,
+            # as the unfolded tree does; a tree no rung reaches (after a
+            # singular basis, say) raises nothing, as before.
+            pass
+    return node, False

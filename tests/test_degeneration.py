@@ -30,17 +30,35 @@ from zinbiel5.degeneration import (
     _det_and_inverse,
     _load_mpmath,
     _neville_at_zero,
+    _neville_differences,
     _resolve_source,
+    _transport,
     transported_constants,
     verify_certificate,
 )
 from zinbiel5.exactmath import ExactMatrix, GaussianRational, grat
 from zinbiel5.series import (
     NonExpandable,
+    PuiseuxSeries,
     Radical,
+    TAdd,
+    TConst,
+    TDiv,
+    TImag,
+    TMul,
+    TNeg,
+    TNum,
+    TPow,
+    TSqrt,
+    TSub,
+    TSym,
+    TVar,
     collect_sqrt_keys,
+    evaluate_numeric,
     expand_series,
     parse_expression,
+    _TFolded,
+    _fold_numeric,
 )
 
 
@@ -198,6 +216,16 @@ def test_certificate_numeric_mode_forced():
     assert rep.mode == "numeric"
 
 
+@pytest.mark.parametrize("source, target", [(SQUARE2, zero_algebra(2)), (zero_algebra(2), SQUARE2)])
+def test_numeric_tier_flags_a_zero_against_a_nonzero_constant(source, target):
+    """A ladder of exact zeros is skipped only where the target is zero too."""
+    rep = verify_certificate(cert(source, target, identity_basis(2)), mode="numeric")
+    assert (rep.verdict, rep.mode) == ("inconclusive", "numeric")
+    (sample,) = rep.samples
+    assert sample.failures == ((1, 1, 2, "1.0"),)
+    assert sample.max_residual == "1.0"
+
+
 def test_certificate_exact_mode_no_fallback():
     basis = (("(1+t)^(1/3)", "0"), ("0", "(1+t)^(2/3)"))
     rep = verify_certificate(cert(SQUARE2, SQUARE2, basis), mode="exact")
@@ -296,12 +324,187 @@ def test_neville_shortcut_matches_the_recurrence():
             [zero] * (len(xs) - 1) + [mpmath.mpc("1e-40")],
         ]
         for ys in ladders:
-            fast, full = _neville_at_zero(xs, ys), _neville_recurrence(xs, ys)
+            fast = _neville_at_zero(xs, _neville_differences(xs), ys)
+            full = _neville_recurrence(xs, ys)
             assert type(fast) is type(full)
             assert fast == full
             assert mpmath.nstr(fast, 5) == mpmath.nstr(full, 5)
-        assert not _neville_at_zero(xs, ladders[0])
-        assert _neville_at_zero(xs, ladders[1])
+        assert not _neville_at_zero(xs, _neville_differences(xs), ladders[0])
+        assert _neville_at_zero(xs, _neville_differences(xs), ladders[1])
+
+
+# numeric tier: work done once per attempt against the per-rung oracles ---------
+
+
+def _bits(x):
+    """The exact content of a mpmath number: its type and its mpf/mpc tuple."""
+    return type(x), x._mpc_ if isinstance(x, mpmath.mpc) else x._mpf_
+
+
+def _numeric_outcome(expr, tval, params, branch):
+    try:
+        return _bits(evaluate_numeric(expr, tval, params=params, branch=branch))
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+_small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# t, the index symbol b (free: it takes a new value at every rung), a bound
+# symbol a (zero in some examples, so 1/a raises) and c, bound in some
+# examples only (unbound, it raises NonExpandable)
+_fold_leaves = st.one_of(
+    st.builds(TNum, _small_fraction),
+    st.sampled_from([TImag(), TVar(), TVar(), TSym("a"), TSym("b"), TSym("b"), TSym("c")]),
+)
+_fold_trees = st.recursive(
+    _fold_leaves,
+    lambda sub: st.one_of(
+        st.builds(TNeg, sub),
+        st.builds(TSqrt, sub),
+        st.builds(TPow, sub, st.sampled_from(
+            [Fraction(n, d) for n, d in ((-2, 1), (-1, 1), (2, 1), (3, 1), (1, 2),
+                                         (-1, 2), (3, 2), (1, 3), (-2, 3), (1, 4))])),
+        *(st.builds(op, sub, sub) for op in (TAdd, TSub, TMul, TDiv)),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300)
+@given(_fold_trees, st.sampled_from([53, 256, 512]), st.sampled_from([1, -1]),
+       _small_fraction, st.booleans())
+def test_folded_evaluation_is_bit_identical_at_every_rung(tree, precision, sign, a, bind_c):
+    """A tree folded once per attempt evaluates, at every rung, to the very
+    number (type and mpf/mpc tuple) that the whole tree evaluates to, and a
+    raising subtree raises the whole tree's exception."""
+    # a sample may bind the index symbol too; the rungs' values override it
+    params = {"a": grat(a), "b": GaussianRational(7)}
+    if bind_c:
+        params["c"] = GaussianRational(2, -1)
+    branch = {key: sign for key in collect_sqrt_keys([tree])}
+    with mpmath.workprec(precision):
+        folded = _fold_numeric(tree, params, branch, ("b",))
+        for tstr in NUMERIC_LADDER[::3] + ("1e-13",):
+            tval = mpmath.mpf(tstr)
+            params_t = dict(params, b=3 * tval - mpmath.mpc(1, tval))
+            assert _numeric_outcome(folded, tval, params_t, branch) == _numeric_outcome(
+                tree, tval, params_t, branch
+            ), tstr
+
+
+def test_fold_keeps_what_a_rung_changes_and_what_raises():
+    with mpmath.workprec(256):
+        folded = _fold_numeric("(1+a)*t + sqrt(2)*b + 1/(a-a)", {"a": grat(3)}, {}, ("b",))
+    left, raising = folded.left, folded.right
+    assert type(left.left.left) is _TFolded and left.left.left.value == 4
+    assert type(left.left.right) is TVar
+    assert type(left.right.left) is _TFolded and type(left.right.right) is TSym
+    # 1/(a-a) raises, so it stays a quotient; its parts are folded
+    assert type(raising) is TDiv
+    assert [type(x) for x in (raising.left, raising.right)] == [_TFolded, _TFolded]
+    whole = _fold_numeric("2*a + i", {"a": grat(3)})
+    assert type(whole) is _TFolded and whole.value == mpmath.mpc(6, 1)
+    constant = _fold_numeric(TConst(GaussianRational(Fraction(1, 3), -1)))
+    assert _bits(constant.value) == _bits(evaluate_numeric(constant.source, 1))
+
+
+def _transport_per_k(dim, entries, E, inv, value, zero):
+    """``_transport`` as it was, scanning w[i][j] for nonzero terms once per k:
+    the oracle of the scan hoisted out of the k loop."""
+    w = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, b, k, expr in entries:
+        c = value(expr)
+        if not c:
+            continue
+        for i in range(dim):
+            Eia = E[i][a - 1]
+            if not Eia:
+                continue
+            for j in range(dim):
+                Ejb = E[j][b - 1]
+                if not Ejb:
+                    continue
+                w[i][j][k - 1] = w[i][j][k - 1] + Eia * Ejb * c
+    return tuple(
+        tuple(
+            tuple(
+                sum((wm * inv[m][k] for m, wm in enumerate(w[i][j]) if wm), zero)
+                for k in range(dim)
+            )
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+
+
+_MPMATH_CELLS = ("0", "0c", "1/3", "-5/11", "(2-i)/7", "i/13", "1/10^30")
+_SERIES_CELLS = ("0", "0 ram 2", "1", "t", "1-t", "2*i", "t^(1/2)", "1/(1-t)", "sqrt(1+t)",
+                 "t^(1/2) - t^(1/2)")
+
+
+def _series_cell(text):
+    if text == "0 ram 2":
+        return PuiseuxSeries.zero(ram=2)
+    return expand_series(text, trunc=4)
+
+
+def _mpmath_cell(text):
+    if text == "0":
+        return mpmath.mpf(0)
+    if text == "0c":
+        return mpmath.mpc(0)
+    return evaluate_numeric(text, 0)
+
+
+def _flat(grid):
+    return [x for plane in grid for row in plane for x in row]
+
+
+@st.composite
+def transport_inputs(draw, cells):
+    dim = draw(st.integers(1, 4))
+    idx = st.integers(1, dim)
+    cell = st.sampled_from(cells)
+    entries = draw(st.lists(st.tuples(idx, idx, idx, cell), max_size=12))
+    E = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    inv = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    return dim, entries, E, inv
+
+
+@settings(max_examples=150)
+@given(transport_inputs(_MPMATH_CELLS), st.sampled_from([53, 256, 512]))
+def test_hoisted_contraction_matches_per_k_scan_on_mpmath(spec, precision):
+    dim, entries, E, inv = spec
+    with mpmath.workprec(precision):
+        E, inv = ([[_mpmath_cell(x) for x in row] for row in M] for M in (E, inv))
+        args = (dim, entries, E, inv, _mpmath_cell, mpmath.mpc(0))
+        got, want = _transport(*args), _transport_per_k(*args)
+    assert [_bits(x) for x in _flat(got)] == [_bits(x) for x in _flat(want)]
+
+
+@settings(max_examples=150)
+@given(transport_inputs(_SERIES_CELLS))
+def test_hoisted_contraction_matches_per_k_scan_on_series(spec):
+    dim, entries, E, inv = spec
+    E, inv = ([[_series_cell(x) for x in row] for row in M] for M in (E, inv))
+    args = (dim, entries, E, inv, _series_cell, PuiseuxSeries.zero())
+    assert repr(_transport(*args)) == repr(_transport_per_k(*args))
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from([53, 256, 512]),
+    st.sampled_from([1, 2, 3, 4, 12]),
+    st.lists(st.sampled_from(_MPMATH_CELLS), min_size=12, max_size=12),
+)
+def test_neville_with_shared_differences_matches_the_recurrence(precision, ram, cells):
+    ladder = NUMERIC_LADDER if ram <= 3 else tuple(f"1e-{k}" for k in range(2, 14))
+    with mpmath.workprec(precision):
+        xs = [mpmath.power(mpmath.mpf(t), mpmath.mpf(1) / ram) for t in ladder]
+        ys = [_mpmath_cell(x) for x in cells[: len(xs)]]
+        fast = _neville_at_zero(xs, _neville_differences(xs), ys)
+        full = _neville_recurrence(xs, ys)
+    assert _bits(fast) == _bits(full)
 
 
 NUMERIC_REPORTS = Path(__file__).resolve().parent / "data" / "numeric_reports.json"

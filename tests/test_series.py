@@ -314,6 +314,14 @@ def test_inverse_and_sqrt_precision(x, op, expected):
     assert (out.ram, out.prec) == (expected.ram, expected.prec)
 
 
+@pytest.mark.parametrize("trunc", [4, DEFAULT_TRUNCATION, 32])
+def test_quotient_honours_the_truncation(trunc):
+    quotient = expand_series("1/(1-t)", trunc=trunc)
+    assert quotient.precision() == trunc
+    assert repr(quotient) == repr(expand_series("(1-t)^(-1)", trunc=trunc))
+    assert expand_series("(2+t)/(1-t)", trunc=trunc).precision() == trunc
+
+
 def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         expand_series("1/(t-t)")
