@@ -240,17 +240,17 @@ def _series_matrix_inverse(rows: List[List[PuiseuxSeries]], trunc: int):
     return ident, det
 
 
-def _transport(dim, entries, E, inv, value, zero):
-    """The constants (a, b, k, expr) moved to the basis rows E, times inv.
+def _transport(dim, entries, E, rows, value, zero):
+    """The constants (a, b, k, expr) moved to the basis rows E, times an inverse.
 
     w[i][j][k] = sum of E[i][a] * E[j][b] * value(expr); the result is the
-    grid w . inv.  A term with a falsy factor is skipped: falsy means the
-    exact zero, for a mpmath number and for a series alike (a truncated
-    series with no known term is truthy), so every skipped term is
-    provably zero and the nonzero terms keep their arithmetic and order.
-    The contraction scans each w[i][j] for its nonzero terms once, not once
-    per k: the same terms in the same order, so both tiers' results are the
-    ones a per-k scan gives, down to a series' representation.
+    grid w . inv, where rows[m] lists the terms (k, inv[m][k]) of row m of
+    the inverse that the caller has the contraction sum.  Each result entry
+    is zero plus its terms in ascending m, the order a sum over m gives.  A
+    term with a falsy factor of w is skipped: falsy means the exact zero,
+    for a mpmath number and for a series alike (a truncated series with no
+    known term is truthy), so every skipped term is provably zero and the
+    nonzero terms keep their arithmetic and order.
     """
     w = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for a, b, k, expr in entries:
@@ -268,8 +268,12 @@ def _transport(dim, entries, E, inv, value, zero):
                 w[i][j][k - 1] = w[i][j][k - 1] + Eia * Ejb * c
 
     def contract(wij):
-        terms = [(m, wm) for m, wm in enumerate(wij) if wm]
-        return tuple(sum((wm * inv[m][k] for m, wm in terms), zero) for k in range(dim))
+        out = [zero] * dim
+        for m, wm in enumerate(wij):
+            if wm:
+                for k, x in rows[m]:
+                    out[k] = out[k] + wm * x
+        return tuple(out)
 
     return tuple(tuple(contract(wij) for wij in wi) for wi in w)
 
@@ -297,7 +301,10 @@ def transported_constants(
 
     E = [[value(e) for e in row] for row in basis]
     inv, det = _series_matrix_inverse(E, trunc)
-    return _transport(dim, entries, E, inv, value, PuiseuxSeries.zero()), det
+    # every term, zero ones too: a zero series lifts a sum's ramification,
+    # which the returned series record
+    rows = [list(enumerate(row)) for row in inv]
+    return _transport(dim, entries, E, rows, value, PuiseuxSeries.zero()), det
 
 
 def _limit_status(s: PuiseuxSeries):
@@ -421,6 +428,28 @@ def _neville_at_zero(xs, dxs, ys):
     return tab[0]
 
 
+def _extrapolator(xs):
+    """``_neville_at_zero`` over the ladder xs, run once per distinct ys.
+
+    A ladder's key is the raw tuple of each of its numbers: an mpf's is four
+    integers, an mpc's a pair of such tuples.  So ladders share a key only
+    when their numbers have equal types and bits, and then the same
+    operations give them the same limit.
+    """
+    dxs = _neville_differences(xs)
+    mpf = mpmath.mpf
+    limits = {}
+
+    def limit_at_zero(ys):
+        key = tuple([y._mpf_ if type(y) is mpf else y._mpc_ for y in ys])
+        limit = limits.get(key)
+        if limit is None:
+            limit = limits[key] = _neville_at_zero(xs, dxs, ys)
+        return limit
+
+    return limit_at_zero
+
+
 def _lu(A):
     """mpmath's ``LU_decomp`` of the square list A, in place.
 
@@ -429,8 +458,10 @@ def _lu(A):
     its row's reciprocal absolute sum (first strict maximum), the row swap,
     and the ``/=`` and ``-=`` updates.  An entry that becomes zero is stored
     as mpmath's zero, as the matrix class reads it back.  Only provably
-    idle work is left out: zero terms of the absolute sums, divisions of
-    zero, and updates that ``_changes`` finds leave an entry as it is.  So
+    idle work is left out: zero terms of the absolute sums, the ``fsum`` of
+    a one-term sum (an absolute value is already at the precision, and
+    rounds to itself), divisions of zero, and updates that ``_changes``
+    finds leave an entry as it is.  So
     every entry is bit-identical to mpmath's.  Returns the pivot rows, or
     None when A is numerically singular or a column has no pivot.
     """
@@ -446,7 +477,8 @@ def _lu(A):
         for k in range(j, n):
             row = A[k]
             mags = [abs(x) for x in row[j:] if x]
-            s = mpmath.fsum(mags)
+            # fsum of one term at the precision is that term
+            s = mags[0] if len(mags) == 1 else mpmath.fsum(mags)
             if s <= tol:
                 return None
             if row[j]:
@@ -545,7 +577,14 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
     that is numerically singular at any rung, including one with a column
     left without a pivot, makes the attempt inconclusive.  An entry whose
     ladder and target are both the exact zero has error exactly 0 and takes
-    no extrapolation.
+    no extrapolation, and a ladder met before reuses its limit.
+
+    The transport sums from mpmath's real zero and skips the inverse's
+    exact zeros, so a rung whose basis, inverse and constants are real
+    stays real.  Every operand is already rounded at the precision, so a
+    real number is bit for bit the real part complex arithmetic would
+    give, with an imaginary part of exactly 0, and every report is
+    bit-identical to transporting in complex arithmetic.
     """
     dim = source.dim
     try:
@@ -583,10 +622,14 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
         if inv is None:
             return "inconclusive", (), None, str(mpmath.mpf(1))
         dets.append((tval, det))
-        grid = _transport(dim, entries, E, inv, value, mpmath.mpc(0))
+        # only the nonzero inverse entries: adding a zero term changes no
+        # bit of a sum's parts, at most its type from mpf to mpc
+        rows = [[(k, x) for k, x in enumerate(row) if x] for row in inv]
+        grid = _transport(dim, entries, E, rows, value, mpmath.mp.zero)
         samples.append((tval, grid))
-    xs = [mpmath.power(tval, mpmath.mpf(1) / ram) for tval, _ in samples]
-    dxs = _neville_differences(xs)
+    limit_at_zero = _extrapolator(
+        [mpmath.power(tval, mpmath.mpf(1) / ram) for tval, _ in samples]
+    )
     failures = []
     worst = mpmath.mpf(0)
     for i in range(dim):
@@ -596,7 +639,7 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
                 c = target.c[i][j][k]
                 if not c and not any(ys):
                     continue
-                limit = _neville_at_zero(xs, dxs, ys)
+                limit = limit_at_zero(ys)
                 tnum = _to_mpmath(c)
                 err = abs(limit - tnum) / max(1, abs(tnum))
                 worst = max(worst, err)

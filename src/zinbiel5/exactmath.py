@@ -396,25 +396,6 @@ class ExactMatrix:
     def rank(self) -> int:
         return rank_sparse(self._sparse_rows(), self.ncols)
 
-    def kernel_basis(self):
-        """RREF-canonical basis of the right kernel, as row vectors."""
-        return kernel_basis_sparse(self._sparse_rows(), self.ncols)
-
-    def solve(self, b):
-        """One exact solution of A x = b, or None if inconsistent."""
-        if len(b) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        aug = ExactMatrix(
-            [list(row) + [grat(x)] for row, x in zip(self.rows, b)]
-        )
-        red, pivots = aug.rref()
-        if self.ncols in pivots:  # pivot in the augmented column
-            return None
-        x = [ZERO] * self.ncols
-        for r, p in enumerate(pivots):
-            x[p] = red.rows[r][self.ncols]
-        return tuple(x)
-
     def det(self) -> GaussianRational:
         if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")

@@ -411,6 +411,11 @@ def to_text(e: TExpression) -> str:
         return f"({to_text(e.base)}^{ex})"
     if isinstance(e, TSqrt):
         return f"sqrt({to_text(e.arg)})"
+    if isinstance(e, TConst):
+        # a Gaussian rational reads back as itself; bracketed unless a
+        # natural number, so that it parses whole under a power
+        v = str(e.value)
+        return v if v.isdigit() else f"({v})"
     if isinstance(e, _TFolded):
         return to_text(e.source)
     raise TypeError(f"not an expression node: {e!r}")
@@ -1156,7 +1161,9 @@ def _evaluate(e: TExpression, ctx):
         op = _BINARY[type(e)][1] or ctx.divide
         return op(_evaluate(e.left, ctx), _evaluate(e.right, ctx))
     if isinstance(e, TPow):
-        return ctx.power(_evaluate(e.base, ctx), e.exponent, to_text(e.base))
+        # the branch key: the contexts read it for half-integer powers only
+        key = to_text(e.base) if e.exponent.denominator == 2 else None
+        return ctx.power(_evaluate(e.base, ctx), e.exponent, key)
     if isinstance(e, TSqrt):
         return ctx.power(_evaluate(e.arg, ctx), _HALF, to_text(e.arg))
     raise TypeError(f"not an expression node: {e!r}")

@@ -28,6 +28,7 @@ from zinbiel5.degeneration import (
     _bound_samples,
     _branch_assignments,
     _det_and_inverse,
+    _extrapolator,
     _load_mpmath,
     _neville_at_zero,
     _neville_differences,
@@ -471,14 +472,24 @@ def transport_inputs(draw, cells):
     return dim, entries, E, inv
 
 
+def _every_term(inv):
+    """Each row of inv as the (k, inv[m][k]) terms of the exact tier's contraction."""
+    return [list(enumerate(row)) for row in inv]
+
+
+def _nonzero_terms(inv):
+    """Each row of inv as the numeric tier's terms: its nonzero entries only."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in inv]
+
+
 @settings(max_examples=150)
 @given(transport_inputs(_MPMATH_CELLS), st.sampled_from([53, 256, 512]))
 def test_hoisted_contraction_matches_per_k_scan_on_mpmath(spec, precision):
     dim, entries, E, inv = spec
     with mpmath.workprec(precision):
         E, inv = ([[_mpmath_cell(x) for x in row] for row in M] for M in (E, inv))
-        args = (dim, entries, E, inv, _mpmath_cell, mpmath.mpc(0))
-        got, want = _transport(*args), _transport_per_k(*args)
+        got = _transport(dim, entries, E, _every_term(inv), _mpmath_cell, mpmath.mpc(0))
+        want = _transport_per_k(dim, entries, E, inv, _mpmath_cell, mpmath.mpc(0))
     assert [_bits(x) for x in _flat(got)] == [_bits(x) for x in _flat(want)]
 
 
@@ -487,8 +498,9 @@ def test_hoisted_contraction_matches_per_k_scan_on_mpmath(spec, precision):
 def test_hoisted_contraction_matches_per_k_scan_on_series(spec):
     dim, entries, E, inv = spec
     E, inv = ([[_series_cell(x) for x in row] for row in M] for M in (E, inv))
-    args = (dim, entries, E, inv, _series_cell, PuiseuxSeries.zero())
-    assert repr(_transport(*args)) == repr(_transport_per_k(*args))
+    zero = PuiseuxSeries.zero()
+    got = _transport(dim, entries, E, _every_term(inv), _series_cell, zero)
+    assert repr(got) == repr(_transport_per_k(dim, entries, E, inv, _series_cell, zero))
 
 
 @settings(max_examples=150)
@@ -505,6 +517,91 @@ def test_neville_with_shared_differences_matches_the_recurrence(precision, ram, 
         fast = _neville_at_zero(xs, _neville_differences(xs), ys)
         full = _neville_recurrence(xs, ys)
     assert _bits(fast) == _bits(full)
+
+
+def _real_where_possible(got, want):
+    """got is want, a complex oracle, computed in real arithmetic where it
+    can be: an mpc is bit-identical, and an mpf appears only where want's
+    imaginary part is exactly 0, with want's real part bit for bit."""
+    re, im = want._mpc_
+    if type(got) is mpmath.mpf:
+        return got._mpf_ == re and im == mpmath.mpf(0)._mpf_
+    return type(got) is mpmath.mpc and got._mpc_ == (re, im)
+
+
+@st.composite
+def attempt_inputs(draw, rungs=4):
+    """(dim, entries, [(E, inv), ...]): one attempt's constants and its rungs."""
+    dim, entries, E, inv = draw(transport_inputs(_MPMATH_CELLS))
+    cell = st.sampled_from(_MPMATH_CELLS)
+    more = [[[[draw(cell) for _ in range(dim)] for _ in range(dim)] for _ in range(2)]
+            for _ in range(rungs - 1)]
+    return dim, entries, [(E, inv)] + more
+
+
+@settings(max_examples=150)
+@given(attempt_inputs(), st.sampled_from([53, 256, 512]), st.sampled_from([1, 2, 3]))
+def test_real_zero_transport_and_neville_match_the_complex_path(spec, precision, ram):
+    """Transport from mpmath's real zero, then Neville over the rungs, against
+    the complex path (per-k sums from ``mpmath.mpc(0)``, then the full
+    recurrence): real parts bit-equal, and a real result only where the
+    oracle's imaginary part is exactly 0."""
+    dim, entries, rungs = spec
+    got, want = [], []
+    with mpmath.workprec(precision):
+        for E, inv in rungs:
+            E, inv = ([[_mpmath_cell(x) for x in row] for row in M] for M in (E, inv))
+            got.append(_transport(dim, entries, E, _every_term(inv), _mpmath_cell, mpmath.mp.zero))
+            want.append(_transport_per_k(dim, entries, E, inv, _mpmath_cell, mpmath.mpc(0)))
+        xs = [mpmath.power(mpmath.mpf(t), mpmath.mpf(1) / ram) for t in NUMERIC_LADDER[:len(rungs)]]
+        ladders = list(zip(*map(_flat, got)))
+        oracles = list(zip(*map(_flat, want)))
+        limits = [_neville_at_zero(xs, _neville_differences(xs), ys) for ys in ladders]
+        oracle_limits = [_neville_recurrence(xs, ys) for ys in oracles]
+    for ys, oracle in zip(ladders, oracles):
+        assert all(map(_real_where_possible, ys, oracle))
+    assert all(map(_real_where_possible, limits, oracle_limits))
+
+
+@settings(max_examples=150)
+@given(transport_inputs(_MPMATH_CELLS), st.sampled_from([53, 256, 512]))
+def test_contraction_without_zero_inverse_entries_matches_the_complex_path(spec, precision):
+    """The numeric tier's contraction, which sums no exact-zero inverse entry,
+    against the per-k sums over every entry from ``mpmath.mpc(0)``."""
+    dim, entries, E, inv = spec
+    with mpmath.workprec(precision):
+        E, inv = ([[_mpmath_cell(x) for x in row] for row in M] for M in (E, inv))
+        got = _transport(dim, entries, E, _nonzero_terms(inv), _mpmath_cell, mpmath.mp.zero)
+        want = _transport_per_k(dim, entries, E, inv, _mpmath_cell, mpmath.mpc(0))
+    assert all(map(_real_where_possible, _flat(got), _flat(want)))
+
+
+def _ladder_cell(kind, text, precision):
+    """A cell as a mpf, as a mpc, or one unit in the last place above it."""
+    x = _mpmath_cell(text)
+    if kind == "ulp" and x:
+        x += mpmath.ldexp(1, int(mpmath.floor(mpmath.log(abs(x), 2))) + 1 - precision)
+    return mpmath.mpc(x) if kind == "mpc" else x
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([53, 256, 512]),
+       st.lists(st.sampled_from(["0", "1/3", "-5/11", "i/13"]), min_size=4, max_size=4),
+       st.lists(st.lists(st.sampled_from(["mpf", "mpc", "ulp"]), min_size=4, max_size=4),
+                min_size=1, max_size=8))
+def test_extrapolator_shares_a_limit_only_between_identical_ladders(precision, texts, kinds):
+    """Ladders of the same cells, each as a mpf, a mpc or one last bit up:
+    ladders equal in value but of another type (mpf against real mpc) or
+    another last bit do not share a limit.  Every limit the memo returns is
+    the one a fresh extrapolation gives, type and bits."""
+    _load_mpmath()  # called here without the numeric tier's entry
+    with mpmath.workprec(precision):
+        xs = [mpmath.power(mpmath.mpf(t), mpmath.mpf(1) / 2) for t in NUMERIC_LADDER[:4]]
+        limit_at_zero = _extrapolator(xs)
+        for ladder in kinds:
+            ys = [_ladder_cell(kind, text, precision) for kind, text in zip(ladder, texts)]
+            fresh = _neville_at_zero(xs, _neville_differences(xs), ys)
+            assert _bits(limit_at_zero(ys)) == _bits(fresh)
 
 
 NUMERIC_REPORTS = Path(__file__).resolve().parent / "data" / "numeric_reports.json"
@@ -544,10 +641,10 @@ def test_numeric_report_digests_at_other_precisions(precision):
 
 @st.composite
 def lu_inputs(draw):
-    """(precision, n x n spec) with real, complex and zero cells, zero columns
-    and rows duplicated up to the signs of their cells; a cell is
-    (kind, re, im, denominator).  A row whose cells only change sign ties
-    with its original in the pivot search."""
+    """(precision, n x n spec) with real, complex and zero cells, zero columns,
+    rows duplicated up to the signs of their cells and rows with one nonzero
+    cell; a cell is (kind, re, im, denominator).  A row whose cells only
+    change sign ties with its original in the pivot search."""
     n = draw(st.integers(1, 6))
     small = st.integers(-3, 3)
     cell = st.tuples(
@@ -563,6 +660,12 @@ def lu_inputs(draw):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
         rows[j] = [(kind, s * re, s * im, den) for s, (kind, re, im, den) in zip(signs, rows[i])]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        # a row with exactly one nonzero cell: its absolute sums have one term
+        j = draw(st.integers(0, n - 1))
+        rows[i] = [("0", 0, 0, 1)] * n
+        rows[i][j] = (draw(st.sampled_from(["mpf", "mpc", "real mpc"])),
+                      draw(small.filter(bool)), draw(small), draw(st.integers(1, 7)))
     return draw(st.sampled_from([53, 64, 256, 1000])), rows
 
 

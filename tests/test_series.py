@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from zinbiel5 import series
 from zinbiel5.exactmath import ONE, ZERO, GaussianRational, grat
 from zinbiel5.series import (
     DEFAULT_TRUNCATION,
@@ -14,8 +15,10 @@ from zinbiel5.series import (
     Radical,
     ScalarValueError,
     TAdd,
+    TConst,
     TMul,
     TNum,
+    TPow,
     TSqrt,
     TVar,
     collect_sqrt_keys,
@@ -148,6 +151,53 @@ def test_ramification_inference():
 def test_sqrt_keys():
     keys = collect_sqrt_keys(["sqrt(4*t^2-5)+sqrt(t)", "(4*t^2-5)^(1/2)"])
     assert len(keys) == 2  # the power spelling shares the sqrt key
+
+
+_GAUSSIAN_PARTS = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+
+
+@given(st.builds(GaussianRational, _GAUSSIAN_PARTS, _GAUSSIAN_PARTS))
+def test_constant_renders_as_text_that_parses_back(z):
+    """A TConst renders as text that parses back to its value, alone and
+    under a power, so every path that renders a branch key accepts it."""
+    text = to_text(TConst(z))
+    assert evaluate_scalar(parse_expression(text)) == z
+    assert evaluate_scalar(parse_expression(to_text(TPow(TConst(z), F(3))))) == z**3
+    assert collect_sqrt_keys([TSqrt(TConst(z))]) == [text]
+    assert expand_series(TPow(TConst(z), F(2))) == PuiseuxSeries.scalar(z * z)
+    with mpmath.workprec(64):
+        assert evaluate_numeric(TSqrt(TConst(z)), 0) ** 2 == pytest.approx(
+            complex(z.re, z.im), abs=1e-15)
+    if z.im == 0 and z.re >= 0 and z.re.denominator == 1:
+        assert text == to_text(TNum(z.re))  # so both spellings share a branch key
+
+
+def test_only_half_integer_powers_render_their_branch_key(monkeypatch):
+    """The contexts read a power's branch key only when its exponent has
+    denominator 2, so no other power renders its base as text."""
+    rendered = []
+
+    def counting_to_text(e):
+        rendered.append(e)
+        return to_text(e)
+
+    cube = TPow(TAdd(TVar(), TNum(F(1))), F(3))
+    third = TPow(TNum(F(8)), F(1, 3))
+    root = TPow(TAdd(TVar(), TNum(F(4))), F(1, 2))
+    expanded = expand_series("1+3*t+3*t^2+t^3")
+    monkeypatch.setattr(series, "to_text", counting_to_text)
+    assert expand_series(cube) == expanded
+    assert evaluate_scalar(cube, tval=F(1)) == grat(8)
+    assert evaluate_scalar(third) == grat(2)
+    with mpmath.workprec(64):
+        assert evaluate_numeric(cube, 1) == 8
+    assert rendered == []
+    key = "(t+4)"
+    assert evaluate_scalar(root, tval=F(0)) == grat(2)
+    with mpmath.workprec(64):
+        assert evaluate_numeric(root, 0, branch={key: -1}) == -2
+    assert expand_series(root, branch={key: -1}).coefficient(0) == rad(-2)
+    assert rendered.count(root.base) == 3  # once per context; to_text recurses too
 
 
 # radicals ---------------------------------------------------------------------
