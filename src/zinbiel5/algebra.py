@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import operator
 from dataclasses import astuple, dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import (
     ZERO,
     ExactMatrix,
-    GaussianRational,
     _cleared,
     _cleared_basis,
+    _make,
     _Rows,
     grat,
     kernel_basis_sparse,
@@ -91,7 +90,8 @@ def algebra_from_entries(dim: int, entries: Iterable, label: str = "", params=()
 
 def product(A: Algebra, x: Sequence, y: Sequence) -> tuple:
     """Product of two coordinate vectors, as a coordinate vector."""
-    return _scaled(*_product(*_integer_tensor(A), _ints(x), _ints(y)))
+    re, im, d = _product(*_integer_tensor(A), _ints(x), _ints(y))
+    return tuple(_make(a, b, d) for a, b in zip(re, im))
 
 
 def _integer_tensor(A: Algebra):
@@ -160,12 +160,6 @@ def _product(T, D, x, y) -> tuple:
                 re[k] += fr * cr - fi * ci
                 im[k] += fr * ci + fi * cr
     return re, im, D * dx * dy
-
-
-def _scaled(re, im, d: int) -> tuple:
-    """The Q(i) vector (re + i*im) / d."""
-    return tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) if a or b else ZERO
-                 for a, b in zip(re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +245,8 @@ def check_identity(A: Algebra, kind: str) -> IdentityReport:
                     kind,
                     False,
                     witness=tuple(i + 1 for i in idx),
-                    lhs=_scaled(*lhs, scale),
-                    rhs=_scaled(*rhs, scale),
+                    lhs=tuple(_make(a, b, scale) for a, b in zip(*lhs)),
+                    rhs=tuple(_make(a, b, scale) for a, b in zip(*rhs)),
                 )
     return IdentityReport(kind, True)
 
@@ -423,7 +417,7 @@ def change_basis(A: Algebra, P: ExactMatrix) -> Algebra:
             for (m, k), (qr, qi) in Q.items():
                 re[k] += wr[m] * qr - wi[m] * qi
                 im[k] += wr[m] * qi + wi[m] * qr
-            plane.append(_scaled(re, im, d * q))
+            plane.append(tuple(_make(a, b, d * q) for a, b in zip(re, im)))
         new_c.append(tuple(plane))
     return Algebra(n, tuple(new_c), label=A.label, params=A.params)
 

@@ -47,9 +47,9 @@ from .catalog import (
     verify_all,
 )
 from .cohomology import central_extension, delta_form, extension_wellformed, h2
-from .degeneration import rset_membership, verify_certificate
+from .degeneration import NUMERIC_PRECISION_BITS, rset_membership, verify_certificate
 from .exactmath import ELIMINATIONS, ExactMatrix, grat
-from .series import ScalarValueError
+from .series import DEFAULT_TRUNCATION, ScalarValueError
 
 PASS_VERDICTS = ("pass", "verified")
 
@@ -684,11 +684,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--label", metavar="NAME", help="catalog certificate label, e.g. 'Z_27 -> Z_28'"
     )
     p.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
-    p.add_argument("--truncation", type=int, default=16, metavar="ORDER")
+    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION, metavar="ORDER")
     p.add_argument(
         "--precision", type=int, default=None, metavar="BITS",
-        help="numeric working precision in bits (default 256); at 53 bits 32 of "
-        "the 49 bundled certificates are inconclusive, so use at least 256",
+        help=f"numeric working precision in bits (default {NUMERIC_PRECISION_BITS}); "
+        "at 53 bits 32 of the 49 bundled certificates are inconclusive, so use at "
+        f"least {NUMERIC_PRECISION_BITS}",
     )
     p.add_argument(
         "--timings", action="store_true",

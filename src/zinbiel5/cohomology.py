@@ -22,7 +22,7 @@ from .algebra import (
 from .exactmath import (
     ZERO,
     ExactMatrix,
-    GaussianRational,
+    _make,
     _Rows,
     _sparse_rref,
     grat,
@@ -106,7 +106,7 @@ def is_cocycle(A: Algebra, mat: ExactMatrix) -> bool:
     complex one)."""
     x = {c: v for c, v in enumerate(_vec(mat)) if v}
     return not any(
-        sum((x[c] * (v if type(v) is int else GaussianRational(*v))
+        sum((x[c] * (v if type(v) is int else _make(*v, 1))
              for c, v in row.items() if c in x), ZERO)
         for row in _cocycle_rows(A)
     )

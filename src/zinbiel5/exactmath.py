@@ -1,11 +1,13 @@
 """Exact arithmetic over Q(i) and exact linear algebra.
 
 Values that a caller reads (structure constants, cocycles, echelon entries,
-series coefficients) are :class:`GaussianRational`, a pair of
-``fractions.Fraction`` components; the work in between runs on Python ints
-where it can.  Real values (imaginary part zero, the case of every catalog
-structure constant) take a real-only branch that costs one ``Fraction``
-operation.
+series coefficients) are :class:`GaussianRational`: (a + b*i)/d stored as
+three ints in canonical form, d > 0 and gcd(a, b, d) = 1, so ``==`` compares
+ints.  Each operator is one integer formula over the common denominator,
+real or not, and every result is reduced once, by :func:`_make`.  Only this
+module reads the stored ints; ``re`` and ``im`` read the parts back as
+``Fraction``s, and a module that holds ints builds its values with
+``_make``.  The work in between runs on Python ints where it can.
 
 Every linear system, dense (``ExactMatrix``) or sparse (:func:`rank_sparse`,
 :func:`kernel_basis_sparse`, :func:`nullity_mod_p`), is row-reduced by one
@@ -64,11 +66,6 @@ __all__ = [
 # all those systems fed to the eliminator.
 ELIMINATIONS = dict.fromkeys(("integer", "gaussian", "modular", "rows"), 0)
 
-# Both constructors (``GaussianRational()`` and ``_make``) store a zero
-# imaginary part as this one object, so "is real" is an identity test.
-_F0 = Fraction(0)
-
-
 # Largest |exponent| accepted in a decimal literal such as "3e-5":
 # ``Fraction("1e9999999")`` builds 10**9999999 and takes seconds to minutes.
 MAX_SCALAR_EXPONENT = 1000
@@ -83,15 +80,19 @@ def _check_exponent(text: str) -> None:
             raise ValueError(f"invalid scalar {_clip(text)}: exponent too large")
 
 
-def _fraction(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, str):
-        _check_exponent(x)
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"invalid scalar {_clip(x)}") from exc
+def _ratio(x) -> tuple:
+    """(numerator, denominator) in lowest terms of an int, a Fraction or
+    anything else ``Fraction`` takes, such as the text "-3/4"."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        if isinstance(x, str):
+            _check_exponent(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"invalid scalar {_clip(x)}") from exc
+    return x.numerator, x.denominator
 
 
 def _clip(x) -> str:
@@ -101,17 +102,32 @@ def _clip(x) -> str:
 
 
 class GaussianRational:
-    """A number a + b*i with rational a, b."""
+    """A number (a + b*i)/d, stored as three ints in canonical form: d > 0
+    and gcd(a, b, d) == 1, so equal numbers store equal ints.  ``re`` and
+    ``im`` read the parts back as ``Fraction``s."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        _set_re(self, _fraction(re))
-        im = _fraction(im)
-        _set_im(self, im if im else _F0)
+        (p, q), (r, s) = _ratio(re), _ratio(im)
+        # d, the lcm of two reduced denominators, leaves gcd(a, b, d) == 1:
+        # a prime's full power in d divides q (say), so the prime divides
+        # neither p nor d // q
+        d = lcm(q, s)
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- construction ------------------------------------------------------
 
@@ -157,64 +173,50 @@ class GaussianRational:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return self.im is not _F0 or bool(self.re)
+        return self.a != 0 or self.b != 0
 
     # -- arithmetic --------------------------------------------------------
     #
-    # Each operator tests for real operands (imaginary part ``_F0``) first;
-    # complex operands use the textbook formulas.  Results go through
-    # ``_make``, which takes two ready Fractions and re-validates nothing.
+    # Each operator is one integer formula over the common denominator;
+    # ``_make`` reduces the result to the canonical form.
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = grat(other)
-        if self.im is _F0 and other.im is _F0:
-            return _make(self.re + other.re, _F0)
-        return _make(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        return _make(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = grat(other)
-        if self.im is _F0 and other.im is _F0:
-            return _make(self.re - other.re, _F0)
-        return _make(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        return _make(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __rsub__(self, other):
         return grat(other) - self
 
     def __neg__(self):
-        if self.im is _F0:
-            return _make(-self.re, _F0)
-        return _make(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = grat(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if d is _F0:
-            if b is _F0:
-                return _make(a * c, _F0)
-            return _make(a * c, b * c)
-        if b is _F0:
-            return _make(a * c, a * d)
-        return _make(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))
         if type(other) is not GaussianRational:
             other = grat(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if d is _F0:
-            if not c:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            if b is _F0:
-                return _make(a / c, _F0)
-            return _make(a / c, b / c)
-        n = c * c + d * d
-        return _make((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         return grat(other) / self
@@ -222,25 +224,21 @@ class GaussianRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("only integer powers on GaussianRational")
-        if self.im is _F0:
-            if k < 0 and not self.re:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            return _make(self.re**k, _F0)
         if k < 0:
-            return ONE / (self ** (-k))
-        out = ONE
-        base = self
+            return (ONE / self) ** -k
+        a, b = self.a, self.b
+        x, y = 1, 0  # (a + b*i)^k, by repeated squaring
+        dk = self.d**k
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                x, y = x * a - y * b, x * b + y * a
             k >>= 1
-        return out
+            if k:
+                a, b = a * a - b * b, 2 * a * b
+        return _make(x, y, dk)
 
     def conjugate(self) -> "GaussianRational":
-        if self.im is _F0:
-            return self
-        return _make(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -250,43 +248,55 @@ class GaussianRational:
                 other = grat(other)
             except TypeError:
                 return NotImplemented
-        return self.re == other.re and (self.im is other.im or self.im == other.im)
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        if self.im is _F0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, so 3 and GaussianRational(3)
+        # meet in one set
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             itxt = "i"
-        elif self.im == -1:
+        elif im == -1:
             itxt = "-i"
         else:
-            itxt = f"{self.im}*i"
-        if self.re == 0:
+            itxt = f"{im}*i"
+        if not re:
             return itxt
         sign = "+" if not itxt.startswith("-") else ""
-        return f"{self.re}{sign}{itxt}"
+        return f"{re}{sign}{itxt}"
 
     def __repr__(self):
         return f"GaussianRational({self})"
 
 
 _alloc = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
 
 
-def _make(re: Fraction, im: Fraction) -> GaussianRational:
-    """The allocator behind every arithmetic result: two ready Fractions."""
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The allocator behind every arithmetic result: (a + b*i)/d for ints
+    a, b and d > 0, reduced by gcd(a, b, d) to the canonical form; zero is
+    the one object ``ZERO``."""
+    if not a and not b:
+        return ZERO
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
     z = _alloc(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im if im is _F0 or im else _F0)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
 
 
@@ -612,55 +622,19 @@ def _eliminate(rows):
 
 
 def _cleared_rows(rows):
-    """(rows, real): a :class:`_Rows` list as it is; other rows times the
-    lcm of their denominators, as {col: int} rows when every entry is real,
-    else as {col: (re, im)} Gaussian integer rows.  Counts the rows in
-    ``ELIMINATIONS``."""
+    """(rows, real): a :class:`_Rows` list as it is; other rows, with int,
+    (re, im) int pair or ``GaussianRational`` entries, each times the lcm
+    of its denominators (:func:`_cleared`), as {col: int} rows when every
+    entry is real, else as {col: (re, im)} Gaussian integer rows.  Counts
+    the rows in ``ELIMINATIONS``."""
     if type(rows) is _Rows:
         ELIMINATIONS["rows"] += len(rows)
         return rows, rows.real
-    rows = list(rows)
-    ELIMINATIONS["rows"] += len(rows)
-    ints = _integer_rows(rows)
-    if ints is not None:
-        return ints, True
-    out = []
-    for row in rows:
-        d = lcm(*[e for v in row.values() if isinstance(v, GaussianRational)
-                  for e in (v.re.denominator, v.im.denominator)])
-        out.append({c: z for c, v in row.items() if (z := _gaussian_int(v, d)) != (0, 0)})
-    return out, False
-
-
-def _gaussian_int(v, d: int) -> tuple:
-    """(re, im): an int, an int pair or a GaussianRational entry v times d,
-    where d clears v's denominators."""
-    if type(v) is int:
-        return v * d, 0
-    if type(v) is tuple:
-        return v[0] * d, v[1] * d
-    return (v.re.numerator * (d // v.re.denominator),
-            v.im.numerator * (d // v.im.denominator))
-
-
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators, as an int row; None as
-    soon as an entry is not real."""
-    out = []
-    for row in rows:
-        if all(type(v) is int and v for v in row.values()):
-            out.append(row)
-            continue
-        d = 1
-        for v in row.values():
-            if type(v) is not int:
-                if type(v) is tuple or v.im is not _F0:
-                    return None
-                d = lcm(d, v.re.denominator)
-        out.append({c: v * d if type(v) is int
-                    else v.re.numerator * (d // v.re.denominator)
-                    for c, v in row.items() if v})
-    return out
+    out = [_cleared(row.items())[1] for row in rows]
+    ELIMINATIONS["rows"] += len(out)
+    if any(b for row in out for _, b in row.values()):
+        return out, False
+    return [{c: a for c, (a, _) in row.items()} for row in out], True
 
 
 def _sparse_rref(rows):
@@ -673,10 +647,9 @@ def _sparse_rref(rows):
     """
     pivots, real = _eliminate(rows)
     if real:
-        return {p: {c: _make(Fraction(v, row[p]), _F0) for c, v in row.items()}
+        return {p: {c: _make(v, 0, row[p]) for c, v in row.items()}
                 for p, row in pivots.items()}
-    return {p: {c: _make(Fraction(a, row[p][0]), Fraction(b, row[p][0]))
-                for c, (a, b) in row.items()}
+    return {p: {c: _make(a, b, row[p][0]) for c, (a, b) in row.items()}
             for p, row in pivots.items()}
 
 
@@ -691,12 +664,22 @@ def _cleared_basis(rows):
 
 
 def _cleared(pairs):
-    """(d, {key: (re, im)}): the nonzero values of (key, Q(i) value) pairs
-    times d, the lcm of their denominators, as ints."""
-    pairs = [(key, x) for key, x in pairs if x]
-    d = lcm(*[e for _, x in pairs for e in (x.re.denominator, x.im.denominator)])
-    return d, {key: (x.re.numerator * (d // x.re.denominator),
-                     x.im.numerator * (d // x.im.denominator)) for key, x in pairs}
+    """(d, {key: (re, im)}): the nonzero values of (key, value) pairs times
+    d, the lcm of their denominators, as ints.  A value is a
+    ``GaussianRational``, an int or a Gaussian integer (re, im) of ints."""
+    parts = [(key, p) for key, x in pairs if (p := _parts(x))[0] or p[1]]
+    d = lcm(*[e for _, (_, _, e) in parts])
+    return d, {key: (a * (d // e), b * (d // e)) for key, (a, b, e) in parts}
+
+
+def _parts(x) -> tuple:
+    """(a, b, d) with x = (a + b*i)/d, for a value as :func:`_cleared` takes it."""
+    if type(x) is int:
+        return x, 0, 1
+    if type(x) is tuple:
+        return x[0], x[1], 1
+    x = grat(x)
+    return x.a, x.b, x.d
 
 
 def rank_sparse(rows, ncols: int) -> int:

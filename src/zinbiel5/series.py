@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, groupby
 from typing import Iterable, Optional
 
-from .exactmath import ONE, ZERO, GaussianRational, _cleared, grat
+from .exactmath import ONE, ZERO, GaussianRational, _cleared, _make, grat
 
 __all__ = [
     "NonExpandable",
@@ -438,8 +438,22 @@ def expression_symbols(e: TExpression) -> set:
     return {node.name for node in _postorder(e) if isinstance(node, TSym)}
 
 
+def _branch_key(e: TExpression) -> Optional[str]:
+    """The branch key of a power node: the canonical text of its base for a
+    square root or a half-integer power, which have two branches, else None.
+    The evaluation contexts choose a branch for these powers only; any other
+    rational power takes its principal value."""
+    if isinstance(e, TSqrt):
+        return to_text(e.arg)
+    if isinstance(e, TPow) and e.exponent.denominator == 2:
+        return to_text(e.base)
+    return None
+
+
 def collect_sqrt_keys(exprs: Iterable[TExpression]):
-    """Branch keys (canonical argument text) of all square roots, in order.
+    """Branch keys (:func:`_branch_key`) of all square roots and
+    half-integer powers, in order; a power ``t^(k/2)`` of t itself adds
+    none (``sqrt(t)`` does).
 
     A half-integer power contributes the same key as sqrt of its base, so
     the two spellings share one branch choice.
@@ -447,14 +461,9 @@ def collect_sqrt_keys(exprs: Iterable[TExpression]):
     keys = {}
     for e in exprs:
         for node in _postorder(parse_expression(e)):
-            if isinstance(node, TSqrt):
-                keys[to_text(node.arg)] = None
-            elif (
-                isinstance(node, TPow)
-                and node.exponent.denominator % 2 == 0
-                and not isinstance(node.base, TVar)
-            ):
-                keys[to_text(node.base)] = None
+            key = _branch_key(node)
+            if key is not None and not (isinstance(node, TPow) and isinstance(node.base, TVar)):
+                keys[key] = None
     return list(keys)
 
 
@@ -595,8 +604,7 @@ def _radical(terms: tuple) -> Radical:
 
 def _radical_of(terms, den: int) -> Radical:
     """The Radical sum of (re + i*im)/den * sqrt(d) over (k, d, re, im) terms."""
-    return _radical(tuple((d, GaussianRational(Fraction(x, den), Fraction(y, den)))
-                          for _, d, x, y in terms))
+    return _radical(tuple((d, _make(x, y, den)) for _, d, x, y in terms))
 
 
 _RAD_ZERO = _radical(())
@@ -618,7 +626,7 @@ def _rational_sqrt(fr: Fraction) -> Optional[Fraction]:
 def _sqrt_positive_fraction(fr: Fraction) -> Radical:
     """sqrt of a positive rational as (s/den) * sqrt(d)."""
     s, d = _squarefree(fr.numerator * fr.denominator)
-    coeff = grat(Fraction(s, fr.denominator))
+    coeff = _make(s, 0, fr.denominator)
     return _radical(((d, coeff),))
 
 
@@ -1022,7 +1030,7 @@ def _monomial_coeff_root(c: Radical, e: Fraction) -> Radical:
         root_num = _int_root(z.re.numerator, q)
         root_den = _int_root(z.re.denominator, q)
         if root_num is not None and root_den is not None:
-            return Radical.from_gaussian(grat(Fraction(root_num, root_den) ** p))
+            return Radical.from_gaussian(_make(root_num, 0, root_den) ** p)
     raise NonExpandable(f"no exact {e} power of coefficient {str(c)[:40]!r}")
 
 
@@ -1161,11 +1169,9 @@ def _evaluate(e: TExpression, ctx):
         op = _BINARY[type(e)][1] or ctx.divide
         return op(_evaluate(e.left, ctx), _evaluate(e.right, ctx))
     if isinstance(e, TPow):
-        # the branch key: the contexts read it for half-integer powers only
-        key = to_text(e.base) if e.exponent.denominator == 2 else None
-        return ctx.power(_evaluate(e.base, ctx), e.exponent, key)
+        return ctx.power(_evaluate(e.base, ctx), e.exponent, _branch_key(e))
     if isinstance(e, TSqrt):
-        return ctx.power(_evaluate(e.arg, ctx), _HALF, to_text(e.arg))
+        return ctx.power(_evaluate(e.arg, ctx), _HALF, _branch_key(e))
     raise TypeError(f"not an expression node: {e!r}")
 
 

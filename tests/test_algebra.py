@@ -583,7 +583,7 @@ def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
     """The derivation, cocycle, annihilator, coboundary and power systems of
     a Q(i)-moved algebra, and their ranks, construct no GaussianRational:
     the builders hand the eliminator (re, im) int pairs, as a _Rows list."""
-    from zinbiel5 import exactmath
+    from zinbiel5 import algebra, cohomology, exactmath
     from zinbiel5.algebra import _annihilator_rows, _components, _nullity
     from zinbiel5.cohomology import coboundary_dimension
 
@@ -613,20 +613,23 @@ def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
     built = []
     make, init = exactmath._make, GaussianRational.__init__
 
-    def counting_make(re, im):
-        built.append((re, im))
-        return make(re, im)
+    def counting_make(a, b, d):
+        built.append((a, b, d))
+        return make(a, b, d)
 
     def counting_init(self, re=0, im=0):
         built.append((re, im))
         init(self, re, im)
 
     monkeypatch.setattr(exactmath, "_cleared_rows", recording)
-    monkeypatch.setattr(exactmath, "_make", counting_make)
+    # the allocator as exactmath and the builders' modules call it
+    for module in (exactmath, algebra, cohomology):
+        monkeypatch.setattr(module, "_make", counting_make)
     monkeypatch.setattr(GaussianRational, "__init__", counting_init)
     got = {method: invariants(B, method) for method in ("exact", "modular")}
     assert built == []
     annihilator(B)  # its kernel vectors are read, so they are built
+    assert built
     monkeypatch.undo()
     assert got == want
     assert len(fed) >= 2 * 5 + 1  # at least one system per invariant and method

@@ -887,3 +887,25 @@ def test_transport_equals_change_basis(a, p):
                 assert grid[i][j][k].coefficient(0) == Radical.from_gaussian(
                     moved.c[i][j][k]
                 )
+
+
+@pytest.mark.parametrize("power, attempts", [("1/4", 1), ("1/2", 2)])
+def test_only_half_integer_powers_get_a_branch(monkeypatch, power, attempts):
+    """A quarter power takes its principal value on every branch, so it
+    gets no branch key and a certificate that does not verify is tried
+    once; a half power gets a key and is tried on both branches."""
+    entry = f"(1+t)^({power})"
+    assert collect_sqrt_keys([entry]) == ([] if attempts == 1 else ["(1+t)"])
+    basis = ((entry,) + ("0",) * 4,) + _identity_rows(5, 1)
+    tried = []
+    attempt = degeneration._numeric_attempt
+
+    def counting_attempt(*args):
+        tried.append(args[-1])
+        return attempt(*args)
+
+    monkeypatch.setattr(degeneration, "_numeric_attempt", counting_attempt)
+    rep = verify_certificate(cert("Z_27", "Z_28", basis), mode="numeric")
+    assert rep.verdict != "verified"
+    assert len(tried) == attempts
+    assert rep.samples[0].branch == (() if attempts == 1 else (("(1+t)", 1),))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -325,7 +326,8 @@ def test_integer_path_keeps_pivot_rows_primitive():
 
 
 # ---------------------------------------------------------------------------
-# real-only fast path: every operand pairing agrees with the complex formula
+# every operator, on real and complex operands alike, agrees with the
+# textbook complex formula and returns the canonical three-int form
 # ---------------------------------------------------------------------------
 
 nonzero_fractions = small_fractions.filter(bool)
@@ -361,6 +363,14 @@ def _assert_exact(z, expected):
     assert type(z) is GaussianRational
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert _pair(z) == expected
+    # the stored form (a + b*i)/d is canonical, and the public views agree
+    ints = (z.a, z.b, z.d)
+    assert z.d > 0 and gcd(*ints) == 1
+    w = GaussianRational(z.re, z.im)
+    assert (w.a, w.b, w.d) == ints
+    if z.im:
+        assert hash(z) == hash((z.re, z.im))
+    assert GaussianRational.parse(str(z)) == z
 
 
 @pytest.mark.parametrize("kinds", PAIRINGS, ids="-".join)
