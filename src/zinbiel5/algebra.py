@@ -94,22 +94,32 @@ def product(A: Algebra, x: Sequence, y: Sequence) -> tuple:
     return tuple(_make(a, b, d) for a, b in zip(re, im))
 
 
+def _memo(A: Algebra, key: str, build):
+    """``build(A)``, computed once per algebra and kept on the frozen instance
+    under ``key``.  Only results are kept (ints, tuples, frozen records), so
+    no caller can change them; the row systems they come from are not."""
+    cached = A.__dict__.get(key)
+    if cached is None:
+        cached = A.__dict__[key] = build(A)
+    return cached
+
+
 def _integer_tensor(A: Algebra):
     """(T, D): D the lcm of all denominators of A.c, T[i][j] = ((k, re, im), ...)
-    the nonzero D*c[i][j][k] as ints, k ascending.  Built once per algebra
-    and kept on the instance, as tuples so that no caller can change it."""
-    cached = A.__dict__.get("_integer_tensor")
-    if cached is None:
-        n = A.dim
-        D, flat = _cleared(((i, j, k), v) for i, plane in enumerate(A.c)
-                           for j, vec in enumerate(plane) for k, v in enumerate(vec)
-                           if v is not ZERO)
-        T = [[[] for _ in range(n)] for _ in range(n)]
-        for (i, j, k), (re, im) in flat.items():
-            T[i][j].append((k, re, im))
-        cached = A.__dict__["_integer_tensor"] = (
-            tuple(tuple(map(tuple, plane)) for plane in T), D)
-    return cached
+    the nonzero D*c[i][j][k] as ints, k ascending.  Built once per algebra,
+    as tuples so that no caller can change it."""
+    return _memo(A, "_integer_tensor", _build_integer_tensor)
+
+
+def _build_integer_tensor(A: Algebra):
+    n = A.dim
+    D, flat = _cleared(((i, j, k), v) for i, plane in enumerate(A.c)
+                       for j, vec in enumerate(plane) for k, v in enumerate(vec)
+                       if v is not ZERO)
+    T = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), (re, im) in flat.items():
+        T[i][j].append((k, re, im))
+    return tuple(tuple(map(tuple, plane)) for plane in T), D
 
 
 def _system_constants(A: Algebra):
@@ -122,15 +132,15 @@ def _system_constants(A: Algebra):
     :class:`~zinbiel5.exactmath._Rows` list of that ring, so no
     ``GaussianRational`` is built.  Scaling every equation of a homogeneous
     system by D > 0 changes neither its kernel nor its pivots."""
-    cached = A.__dict__.get("_system_constants")
-    if cached is None:
-        T, _ = _integer_tensor(A)
-        real = not any(im for plane in T for vec in plane for _, _, im in vec)
-        cached = A.__dict__["_system_constants"] = (
-            tuple(tuple(tuple((k, re) if real else (k, (re, im)) for k, re, im in vec)
-                        for vec in plane) for plane in T),
-            real)
-    return cached
+    return _memo(A, "_system_constants", _build_system_constants)
+
+
+def _build_system_constants(A: Algebra):
+    T, _ = _integer_tensor(A)
+    real = not any(im for plane in T for vec in plane for _, _, im in vec)
+    C = tuple(tuple(tuple((k, re) if real else (k, (re, im)) for k, re, im in vec)
+                    for vec in plane) for plane in T)
+    return C, real
 
 
 # real -> (zero, add, neg) of system entries: ints, or (re, im) int pairs
@@ -283,9 +293,14 @@ def _annihilator_rows(mats):
 
 
 def annihilator(A: Algebra):
-    """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors."""
+    """Basis of { x : x A = A x = 0 }, RREF-canonical row vectors, as a new
+    list on each call; the basis is computed once per algebra."""
+    return list(_memo(A, "_annihilator", _annihilator))
+
+
+def _annihilator(A: Algebra) -> tuple:
     mats, real = _components(A)
-    return kernel_basis_sparse(_Rows(_annihilator_rows(mats), real), A.dim)
+    return tuple(kernel_basis_sparse(_Rows(_annihilator_rows(mats), real), A.dim))
 
 
 @dataclass(frozen=True)
@@ -300,7 +315,12 @@ class PowerFiltration:
 
 
 def power_filtration(A: Algebra) -> PowerFiltration:
-    """Dims of the power filtration A^k = sum_{p+q=k} A^p A^q."""
+    """Dims of the power filtration A^k = sum_{p+q=k} A^p A^q, computed once
+    per algebra."""
+    return _memo(A, "_power_filtration", _power_filtration)
+
+
+def _power_filtration(A: Algebra) -> PowerFiltration:
     n = A.dim
     powers = [[(1, {i: (1, 0)}) for i in range(n)]]  # powers[k]: A^(k+1), cleared
     dims = [n]
@@ -377,7 +397,16 @@ def derivations(A: Algebra):
 
 
 def derivation_dimension(A: Algebra, method: str = "exact") -> int:
-    return _nullity(_derivation_rows(A), A.dim * A.dim, method)
+    return _system_nullity(A, "der", _derivation_rows, method)
+
+
+def _system_nullity(A: Algebra, name: str, build, method: str) -> int:
+    """The :func:`_nullity` of the n^2-unknown system ``build(A)``, computed
+    once per algebra and method: a modular value never answers an exact
+    call, nor the reverse."""
+    method = "modular" if method == "modular" else "exact"
+    return _memo(A, f"_{name}_{method}",
+                 lambda A: _nullity(build(A), A.dim * A.dim, method))
 
 
 def _nullity(rows, ncols: int, method: str) -> int:
@@ -455,6 +484,9 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
     ``exactmath``, real and complex algebras alike; that path is Monte Carlo
     and meant for bulk screening only — callers compare against an exact
     recomputation before trusting a mismatch.
+
+    Each part is computed once per algebra (and the two ranks once per
+    method), so a second fingerprint of the same instance reads them back.
     """
     from .cohomology import _cocycle_rows, coboundary_dimension
 
@@ -463,7 +495,7 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
     pdims = tuple(pf.dim(k) for k in range(2, 6))
     ann = len(annihilator(A))
     der = derivation_dimension(A, method=method)
-    z2 = _nullity(_cocycle_rows(A), n * n, method)
+    z2 = _system_nullity(A, "z2", _cocycle_rows, method)
     b2 = coboundary_dimension(A)
     return Fingerprint(n, pdims, ann, der, z2, z2 - b2)
 

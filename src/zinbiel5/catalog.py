@@ -724,14 +724,26 @@ class SuiteReport:
 
 
 class _Suite:
+    """One verification run.  Its state lives as long as the run: one
+    :class:`Algebra` instance per (id, binding), so that each invariant kept
+    on an instance (see :func:`~zinbiel5.algebra._memo`) is computed once per
+    run, and the certificate reports that two checks read."""
+
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.overrides = dict(config.overrides)
+        self.memo = {}
+
+    def _once(self, key, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     def tensor(self, eid: str, binding=None) -> Algebra:
         if eid in self.overrides and not binding:
             return self.overrides[eid]
-        return instantiate(eid, binding)
+        key = (eid, *sorted((k, _coerce_param(v)) for k, v in dict(binding or {}).items()))
+        return self._once(key, lambda: instantiate(eid, binding))
 
     # -- individual checks -------------------------------------------------
 
@@ -907,13 +919,13 @@ class _Suite:
         return CheckResult("degenerations", not bad, tuple(bad), tuple(info))
 
     def _certificate_reports(self):
-        if not hasattr(self, "_cert_cache"):
-            self._cert_cache = [(c, verify_certificate(c)) for c in certificates()]
-        return self._cert_cache
+        return self._once(
+            "certificates", lambda: [(c, verify_certificate(c)) for c in certificates()]
+        )
 
     def _member_pair(self, cert: DegenerationCertificate):
         """A concrete (source, target) pair realizing the certificate."""
-        scalar, target = next(_bound_samples(cert))
+        scalar, target = next(_bound_samples(cert, self.tensor))
         src_entry = entry(cert.source)
         binding = {}
         if src_entry.is_parametric:
@@ -927,7 +939,7 @@ class _Suite:
                 )
             else:
                 raise CatalogError(f"{cert.label}: unbound source parameter")
-        source = instantiate(cert.source, binding or None)
+        source = self.tensor(cert.source, binding or None)
         family_indexed = (
             src_entry.is_parametric and cert.source_index is not None
             and src_entry.symbols[0] not in {k for k, _ in cert.source_params}
@@ -1055,8 +1067,8 @@ class _Suite:
                     )
                 seen.setdefault(exact.as_tuple(), []).append(alg.label)
         # the single documented coincidence inside Theorem A
-        a = instantiate("Z_02", {"a": "3"})
-        b = instantiate("Z_02", {"a": "1/3"})
+        a = self.tensor("Z_02", {"a": "3"})
+        b = self.tensor("Z_02", {"a": "1/3"})
         if fingerprint(a) != fingerprint(b):
             bad.append("Z_02: fingerprints at a and 1/a differ")
         collisions = sorted(

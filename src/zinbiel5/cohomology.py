@@ -14,6 +14,7 @@ from .algebra import (
     Algebra,
     _annihilator_rows,
     _components,
+    _memo,
     _RINGS,
     _system_constants,
     algebra_from_entries,
@@ -172,7 +173,9 @@ def coboundary_space(A: Algebra):
 
 
 def coboundary_dimension(A: Algebra) -> int:
-    return rank_sparse(_coboundary_rows(A), A.dim * A.dim)
+    """dim B^2(A), computed once per algebra."""
+    return _memo(A, "_coboundary_rank",
+                 lambda A: rank_sparse(_coboundary_rows(A), A.dim * A.dim))
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,12 @@ def h2(A: Algebra) -> CohomologyBasis:
     Representatives are chosen greedily from the RREF-canonical Z^2 basis,
     keeping those that enlarge the span of B^2 and the earlier ones
     (:func:`_new_classes`) — deterministic for a given structure tensor.
+    Computed once per algebra.
     """
+    return _memo(A, "_h2", _h2)
+
+
+def _h2(A: Algebra) -> CohomologyBasis:
     z2 = cocycle_space(A)
     b2 = coboundary_space(A)
     reps = [z2[k] for k in _new_classes(b2, z2)]

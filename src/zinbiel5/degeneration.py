@@ -331,26 +331,30 @@ def _resolve_source(source) -> FamilyTensor:
     return family_tensor(source)
 
 
-def _resolve_target(target, params: Dict[str, GaussianRational], pad: int) -> Algebra:
+def _resolve_target(target, params: Dict[str, GaussianRational], pad: int, tensor=None) -> Algebra:
+    """The target algebra; a catalog id is bound by ``tensor(eid, params)``,
+    by default :func:`~zinbiel5.catalog.instantiate`."""
     from .algebra import direct_sum, zero_algebra
 
     if isinstance(target, Algebra):
         out = target
     else:
-        from .catalog import instantiate
+        if tensor is None:
+            from .catalog import instantiate as tensor
 
-        out = instantiate(target, params)
+        out = tensor(target, params)
     if pad:
         out = direct_sum(out, zero_algebra(pad))
     return out
 
 
-def _bound_samples(cert: DegenerationCertificate):
+def _bound_samples(cert: DegenerationCertificate, tensor=None):
     """Per sample: its scalar parameters and the target bound at them.
 
     The parameters are the sample's values, then the certificate's source
     bindings evaluated at them; the target bindings are evaluated at both.
     A binding that names a symbol no sample binds is a ValueError.
+    ``tensor`` binds a catalog target, as in :func:`_resolve_target`.
     """
     for raw in cert.samples or ({},):
         try:
@@ -360,7 +364,7 @@ def _bound_samples(cert: DegenerationCertificate):
             tparams = {name: evaluate_scalar(expr, params) for name, expr in cert.target_params}
         except ScalarValueError as exc:
             raise ValueError(f"{cert.label}: {exc}") from None
-        yield params, _resolve_target(cert.target, tparams, cert.target_pad)
+        yield params, _resolve_target(cert.target, tparams, cert.target_pad, tensor)
 
 
 def _branch_assignments(keys):

@@ -387,6 +387,35 @@ def test_integer_tensor_is_built_once_per_algebra_as_tuples():
     assert _integer_tensor(B) == (T, D)
 
 
+@pytest.mark.parametrize("first, then", [("modular", "exact"), ("exact", "modular")])
+def test_fingerprint_methods_keep_separate_ranks_on_one_instance(first, then):
+    """A fingerprint by one method leaves the other method's Der and Z^2
+    systems to its own eliminator: a kept mod-P rank never answers an exact
+    call, nor the reverse."""
+    from zinbiel5.catalog import instantiate
+    from zinbiel5.exactmath import ELIMINATIONS
+
+    A = instantiate("Z_05")
+    fingerprint(A, first)
+    path = "integer" if then == "exact" else "modular"
+    before = ELIMINATIONS[path]
+    got = fingerprint(A, then)
+    assert ELIMINATIONS[path] - before >= 2  # the Der and the Z^2 system
+    assert got == fingerprint(instantiate("Z_05"), then) == fingerprint(instantiate("Z_05"))
+    before = dict(ELIMINATIONS)
+    assert fingerprint(A, first) == got  # both methods are now kept on A
+    assert dict(ELIMINATIONS) == before
+
+
+def test_kept_annihilator_is_not_aliased():
+    A = alg(3, (1, 1, 2, 1))
+    basis = annihilator(A)
+    want = list(basis)
+    basis.append(basis[0])
+    basis.clear()
+    assert annihilator(A) == want and annihilator(A) is not annihilator(A)
+
+
 @given(sparse_algebras())
 def test_derivation_rows_match_dense_loop(A):
     _assert_rows_are_dense_rows_times_d(A, _derivation_rows(A), _dense_derivation_rows(A))
@@ -584,22 +613,25 @@ def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
     a Q(i)-moved algebra, and their ranks, construct no GaussianRational:
     the builders hand the eliminator (re, im) int pairs, as a _Rows list."""
     from zinbiel5 import algebra, cohomology, exactmath
-    from zinbiel5.algebra import _annihilator_rows, _components, _nullity
-    from zinbiel5.cohomology import coboundary_dimension
+    from zinbiel5.algebra import (_annihilator, _annihilator_rows, _components, _nullity,
+                                  _power_filtration)
+    from zinbiel5.cohomology import _coboundary_rows
 
     A, B = qi_moved_z05
     n = B.dim
     mats, real = _components(B)
     assert not real and _components(A)[1]
 
+    # the builders themselves: the public entry points keep their results
+    # on the instance, and the fixture is shared
     def invariants(X, method):
         mats, real = _components(X)
         return (
             _nullity(_derivation_rows(X), n * n, method),
             _nullity(_cocycle_rows(X), n * n, method),
             _nullity(exactmath._Rows(_annihilator_rows(mats), real), n, method),
-            power_filtration(X).dims,
-            coboundary_dimension(X),
+            _power_filtration(X).dims,
+            exactmath.rank_sparse(_coboundary_rows(X), n * n),
         )
 
     want = {method: invariants(A, method) for method in ("exact", "modular")}
@@ -628,7 +660,7 @@ def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
     monkeypatch.setattr(GaussianRational, "__init__", counting_init)
     got = {method: invariants(B, method) for method in ("exact", "modular")}
     assert built == []
-    annihilator(B)  # its kernel vectors are read, so they are built
+    _annihilator(B)  # its kernel vectors are read, so they are built
     assert built
     monkeypatch.undo()
     assert got == want

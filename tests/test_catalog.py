@@ -298,6 +298,40 @@ class TestSuite:
         assert bare.counters == () and bare == suite_report
         assert "counters" not in json.loads(suite_report.as_json())
 
+    def test_a_second_run_repeats_the_report_and_its_counters(self, suite_report):
+        """Invariants are kept for one run only, so a later run in the same
+        process builds, and counts, every system again."""
+        again = cat.verify_all()
+        assert again == suite_report
+        assert again.counters == suite_report.counters
+
+    def test_each_invariant_is_built_once_per_instance(self, monkeypatch):
+        from zinbiel5 import algebra
+
+        calls = {}  # builder -> {id(A): [A, builds]}; A is kept, so no id is reused
+
+        def counting(name, build):
+            def wrapped(A):
+                calls.setdefault(name, {}).setdefault(id(A), [A, 0])[1] += 1
+                return build(A)
+            return wrapped
+
+        for name in ("_derivation_rows", "_annihilator", "_power_filtration"):
+            monkeypatch.setattr(algebra, name, counting(name, getattr(algebra, name)))
+        assert cat.verify_all().ok
+        assert all(len(calls[name]) >= 100 for name in calls) and len(calls) == 3
+        for name in ("_annihilator", "_power_filtration"):
+            assert all(builds == 1 for _, builds in calls[name].values()), name
+            # one instance per (id, binding) for the run; only the checked
+            # central extensions are built afresh, each its own algebra
+            labels = [A.label for A, _ in calls[name].values()
+                      if not A.label.endswith("_ext")]
+            assert len(labels) == len(set(labels)), name
+        # the Der system once per method whose nullity the instance keeps:
+        # exact, and mod P as well for a fingerprinted one
+        for A, builds in calls["_derivation_rows"].values():
+            assert builds == sum(key.startswith("_der_") for key in A.__dict__), A
+
 
 class TestMutationSeam:
     """A deliberately corrupted tensor must be caught and located."""
@@ -325,6 +359,16 @@ class TestMutationSeam:
         )
         assert not rep.ok
         assert "Z_01" in " ".join(rep.checks[0].details)
+
+    def test_necessary_check_reads_an_overridden_certificate_target(self):
+        # e1 e1 = e2 puts e2 into A^2: dim A^2 grows from 3 to 4, above the
+        # source Z_27's 3
+        mutant = self._mutant("Z_28", 1, 1, 2, "1")
+        rep = cat.verify_all(
+            cat.SuiteConfig(checks=("necessary",), overrides=(("Z_28", mutant),))
+        )
+        assert not rep.ok
+        assert "Z_27 -> Z_28: power dims do not dominate" in rep.checks[0].details
 
     def test_square_check_catches_rank_drift(self):
         mutant = algebra_from_entries(5, [(1, 1, 5, 1)], label="Z_40")
