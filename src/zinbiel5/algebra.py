@@ -21,6 +21,7 @@ from .exactmath import (
     ExactMatrix,
     _cleared,
     _cleared_basis,
+    _frozen_pivots,
     _make,
     _Rows,
     grat,
@@ -488,16 +489,39 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
     Each part is computed once per algebra (and the two ranks once per
     method), so a second fingerprint of the same instance reads them back.
     """
-    from .cohomology import _cocycle_rows, coboundary_dimension
+    from .cohomology import _z2_dimension, coboundary_dimension
 
     n = A.dim
     pf = power_filtration(A)
     pdims = tuple(pf.dim(k) for k in range(2, 6))
     ann = len(annihilator(A))
     der = derivation_dimension(A, method=method)
-    z2 = _system_nullity(A, "z2", _cocycle_rows, method)
+    z2 = _z2_dimension(A, method)
     b2 = coboundary_dimension(A)
     return Fingerprint(n, pdims, ann, der, z2, z2 - b2)
+
+
+def _fingerprint_pair(A: Algebra) -> tuple:
+    """(exact, modular): :func:`fingerprint` by both methods, with the Der
+    and the Z^2 rows built once each for both reductions.  The exact and
+    the mod-P reduction of a system still run separately, on the same rows,
+    and fill the memo keys that :func:`_system_nullity` and
+    :func:`~zinbiel5.cohomology._z2_pivots` read."""
+    from .cohomology import _cocycle_rows
+
+    n2 = A.dim * A.dim
+    exact = lambda rows: _nullity(rows, n2, "exact")
+    modular = lambda rows: _nullity(rows, n2, "modular")
+    for build, reductions in (
+        (_derivation_rows, {"_der_exact": exact, "_der_modular": modular}),
+        (_cocycle_rows, {"_z2_pivots": _frozen_pivots, "_z2_modular": modular}),
+    ):
+        missing = [key for key in reductions if A.__dict__.get(key) is None]
+        if missing:
+            rows = build(A)
+            for key in missing:
+                A.__dict__[key] = reductions[key](rows)
+    return fingerprint(A, "exact"), fingerprint(A, "modular")
 
 
 def direct_sum(A: Algebra, B: Algebra) -> Algebra:

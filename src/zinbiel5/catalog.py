@@ -16,6 +16,7 @@ from time import perf_counter
 
 from .algebra import (
     Algebra,
+    _fingerprint_pair,
     annihilator,
     check_identity,
     fingerprint,
@@ -1059,8 +1060,7 @@ class _Suite:
             if e.dim != 5 or "theoremA" not in e.tags:
                 continue
             for alg in family_members(e.id, self.tensor):
-                exact = fingerprint(alg, method="exact")
-                modular = fingerprint(alg, method="modular")
+                exact, modular = _fingerprint_pair(alg)
                 if exact.as_tuple() != modular.as_tuple():
                     bad.append(
                         f"{alg.label}: exact and modular fingerprints differ"

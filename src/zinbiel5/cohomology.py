@@ -17,18 +17,21 @@ from .algebra import (
     _memo,
     _RINGS,
     _system_constants,
+    _system_nullity,
     algebra_from_entries,
     annihilator,
 )
 from .exactmath import (
     ZERO,
     ExactMatrix,
+    _frozen_pivots,
+    _frozen_rref,
+    _kernel_basis,
     _make,
     _Rows,
     _sparse_rref,
     grat,
     kernel_basis_sparse,
-    rank_sparse,
 )
 
 __all__ = [
@@ -90,53 +93,82 @@ def delta_form(n: int, *components) -> CocycleForm:
 
 
 def _sym_terms(by_ij, ring, j: int, k: int):
-    """Nonzero coordinates of -(e_j e_k + e_k e_j) as [(m, coeff)], m
+    """Nonzero coordinates of -(e_j e_k + e_k e_j) as (m, coeff) pairs, m
     ascending, the entries in ``ring`` (see :data:`~zinbiel5.algebra._RINGS`)."""
     zero, add, neg = ring
+    terms = by_ij[j][k] + by_ij[k][j]
+    if not terms:
+        return ()
     acc = {}
-    for m, v in by_ij[j][k] + by_ij[k][j]:
+    for m, v in terms:
         acc[m] = add(acc[m], v) if m in acc else v
     return sorted((m, neg(v)) for m, v in acc.items() if v != zero)
+
+
+def _cocycle_equations(A: Algebra):
+    """The cocycle condition theta(e_i e_j, e_k) = theta(e_i, e_j e_k + e_k e_j)
+    for each (i, j, k) in turn, as (i, k, prod, sym): the equation is
+
+        sum of v * theta[m][k] over (m, v) in prod
+        + sum of v * theta[i][m] over (m, v) in sym = 0,
+
+    prod the constants of e_i e_j and sym those of -(e_j e_k + e_k e_j),
+    scaled and typed as in :func:`~zinbiel5.algebra._system_constants`."""
+    n = A.dim
+    by_ij, real = _system_constants(A)
+    ring = _RINGS[real]
+    sym = [[_sym_terms(by_ij, ring, j, k) for k in range(n)] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            prod = by_ij[i][j]
+            for k in range(n):
+                yield i, k, prod, sym[j][k]
 
 
 def is_cocycle(A: Algebra, mat: ExactMatrix) -> bool:
     """Does ``mat`` satisfy every equation of the cocycle system?
 
-    Only the nonzero entries of ``mat`` are multiplied, by the rows' entries
-    (ints for a real algebra, (re, im) pairs read as Q(i) values for a
-    complex one)."""
-    x = {c: v for c, v in enumerate(_vec(mat)) if v}
-    return not any(
-        sum((x[c] * (v if type(v) is int else _make(*v, 1))
-             for c, v in row.items() if c in x), ZERO)
-        for row in _cocycle_rows(A)
-    )
+    Each equation of :func:`_cocycle_equations` is evaluated on ``mat``,
+    up to the first that fails.  Only the nonzero entries of ``mat`` are
+    multiplied, by the equation's constants (ints for a real algebra,
+    (re, im) pairs read as Q(i) values for a complex one)."""
+    real = _system_constants(A)[1]
+    value = (lambda v: _make(v, 0, 1)) if real else (lambda v: _make(*v, 1))
+    theta = [[x or None for x in row] for row in mat.rows]
+    for i, k, prod, sym in _cocycle_equations(A):
+        acc = ZERO
+        for m, v in prod:
+            x = theta[m][k]
+            if x is not None:
+                acc = acc + x * value(v)
+        row = theta[i]
+        for m, v in sym:
+            x = row[m]
+            if x is not None:
+                acc = acc + x * value(v)
+        if acc is not ZERO:  # a zero sum is the one object ZERO (see _make)
+            return False
+    return True
 
 
 def _cocycle_rows(A: Algebra):
-    """Sparse rows of theta(e_i e_j, e_k) = theta(e_i, e_j e_k + e_k e_j).
+    """Sparse rows of the equations of :func:`_cocycle_equations`.
 
-    The unknowns are theta[i][j] -> column i*n+j; each equation is scaled
-    as in :func:`~zinbiel5.algebra._system_constants`, and the rows are a
+    The unknowns are theta[i][j] -> column i*n+j, and the rows are a
     :class:`~zinbiel5.exactmath._Rows` list over the algebra's ring.
     """
     n = A.dim
-    by_ij, real = _system_constants(A)
-    ring = _RINGS[real]
-    zero, add, _ = ring
-    sym = [[_sym_terms(by_ij, ring, j, k) for k in range(n)] for j in range(n)]
+    real = _system_constants(A)[1]
+    zero, add, _ = _RINGS[real]
     rows = _Rows((), real)
-    for i in range(n):
-        for j in range(n):
-            prod = by_ij[i][j]
-            for k in range(n):
-                row = {m * n + k: v for m, v in prod}
-                for m, v in sym[j][k]:
-                    col = i * n + m
-                    row[col] = add(row[col], v) if col in row else v
-                row = {c: v for c, v in row.items() if v != zero}
-                if row:
-                    rows.append(row)
+    for i, k, prod, sym in _cocycle_equations(A):
+        row = {m * n + k: v for m, v in prod}
+        for m, v in sym:
+            col = i * n + m
+            row[col] = add(row[col], v) if col in row else v
+        row = {c: v for c, v in row.items() if v != zero}
+        if row:
+            rows.append(row)
     return rows
 
 
@@ -151,7 +183,22 @@ def _vec(mat: ExactMatrix):
 def cocycle_space(A: Algebra):
     """RREF-canonical basis of Z^2(A) as matrices."""
     n = A.dim
-    return [_unvec(v, n) for v in kernel_basis_sparse(_cocycle_rows(A), n * n)]
+    return [_unvec(v, n) for v in _kernel_basis(_frozen_rref(_z2_pivots(A)), n * n)]
+
+
+def _z2_pivots(A: Algebra):
+    """The integer pivot rows (:func:`~zinbiel5.exactmath._frozen_pivots`)
+    of the exact Z^2 system, reduced once per algebra; the exact Z^2
+    nullity and :func:`cocycle_space` both read them."""
+    return _memo(A, "_z2_pivots", lambda A: _frozen_pivots(_cocycle_rows(A)))
+
+
+def _z2_dimension(A: Algebra, method: str) -> int:
+    """dim Z^2(A), exact or (method="modular") mod P, once per algebra and
+    method."""
+    if method == "modular":
+        return _system_nullity(A, "z2", _cocycle_rows, method)
+    return A.dim * A.dim - _z2_pivots(A)[0]
 
 
 def _coboundary_rows(A: Algebra):
@@ -164,18 +211,23 @@ def _coboundary_rows(A: Algebra):
     return _Rows((row for row in rows if row), real)
 
 
+def _b2_pivots(A: Algebra):
+    """The integer pivot rows of the B^2 system, reduced once per algebra;
+    :func:`coboundary_space` and :func:`coboundary_dimension` read them."""
+    return _memo(A, "_b2_pivots", lambda A: _frozen_pivots(_coboundary_rows(A)))
+
+
 def coboundary_space(A: Algebra):
     """Basis of B^2(A) = { (x,y) -> f(xy) }, RREF-canonical."""
     n = A.dim
-    pivots = _sparse_rref(_coboundary_rows(A))
+    pivots = _frozen_rref(_b2_pivots(A))
     return [_unvec([pivots[p].get(c, ZERO) for c in range(n * n)], n)
             for p in sorted(pivots)]
 
 
 def coboundary_dimension(A: Algebra) -> int:
     """dim B^2(A), computed once per algebra."""
-    return _memo(A, "_coboundary_rank",
-                 lambda A: rank_sparse(_coboundary_rows(A), A.dim * A.dim))
+    return _b2_pivots(A)[0]
 
 
 @dataclass(frozen=True)

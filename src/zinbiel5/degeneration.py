@@ -194,6 +194,8 @@ def _series_matrix_inverse(rows: List[List[PuiseuxSeries]], trunc: int):
 
     Returns (inverse, det) where det is the series determinant.  Each pivot
     has a known leading term, so det has a known nonzero leading term.
+    The columns of ``work`` left of the pivot's are not read again, so
+    only the pivot's column and those right of it are updated.
     """
     n = len(rows)
     work = [list(r) for r in rows]
@@ -227,7 +229,7 @@ def _series_matrix_inverse(rows: List[List[PuiseuxSeries]], trunc: int):
         pivot = work[col][col]
         det = det * pivot
         inv = pivot.inverse(trunc)
-        work[col] = [x * inv for x in work[col]]
+        work[col][col:] = [x * inv for x in work[col][col:]]
         ident[col] = [x * inv for x in ident[col]]
         for r in range(n):
             if r == col:
@@ -235,7 +237,7 @@ def _series_matrix_inverse(rows: List[List[PuiseuxSeries]], trunc: int):
             f = work[r][col]
             if f.known_zero:
                 continue
-            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+            work[r][col:] = [a - f * b for a, b in zip(work[r][col:], work[col][col:])]
             ident[r] = [a - f * b for a, b in zip(ident[r], ident[col])]
     return ident, det
 
@@ -376,6 +378,8 @@ def _exact_attempt(source, basis_grid, target, series_params, branch, trunc):
     """One exact verification pass; returns (status, failures, det_valuation).
 
     status: 'verified' | 'failed' | 'unknown'; failures lists (i,j,k,limit).
+    An entry that is the exact zero series, against a zero target
+    constant, can neither fail nor be unknown, and is skipped.
     """
     dim = source.dim
     grid, det = transported_constants(
@@ -392,7 +396,10 @@ def _exact_attempt(source, basis_grid, target, series_params, branch, trunc):
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                status, limit = _limit_status(grid[i][j][k])
+                s = grid[i][j][k]
+                if not s and not target.c[i][j][k]:
+                    continue
+                status, limit = _limit_status(s)
                 if status == "unknown":
                     unknown = True
                     continue

@@ -645,7 +645,28 @@ def _sparse_rref(rows):
     GaussianRationals, each built once from the integer pivot row of
     :func:`_eliminate`.
     """
+    return _read_rref(*_eliminate(rows))
+
+
+def _frozen_pivots(rows):
+    """(rank, pivots, real): the integer pivot rows of :func:`_eliminate` as
+    a tuple of (pivot column, ((column, entry), ...)) pairs, which a caller
+    can keep and none can change.  An entry is an int when ``real`` and a
+    (re, im) int pair otherwise.  :func:`_frozen_rref` reads them back."""
     pivots, real = _eliminate(rows)
+    return len(pivots), tuple((p, tuple(row.items())) for p, row in pivots.items()), real
+
+
+def _frozen_rref(frozen):
+    """The RREF rows, as :func:`_sparse_rref` returns them, of the pivot
+    rows kept by :func:`_frozen_pivots`."""
+    _, pivots, real = frozen
+    return _read_rref({p: dict(row) for p, row in pivots}, real)
+
+
+def _read_rref(pivots, real):
+    """The RREF rows of the integer pivot rows of :func:`_eliminate`, as
+    :func:`_sparse_rref` returns them: each divided by its pivot entry."""
     if real:
         return {p: {c: _make(v, 0, row[p]) for c, v in row.items()}
                 for p, row in pivots.items()}
@@ -695,7 +716,12 @@ def kernel_basis_sparse(rows, ncols: int):
     of dense tuple vectors of length ncols, one per free column, ordered by
     free column index.
     """
-    pivots = _sparse_rref(rows)
+    return _kernel_basis(_sparse_rref(rows), ncols)
+
+
+def _kernel_basis(pivots, ncols: int):
+    """The kernel basis of :func:`kernel_basis_sparse`, read from the RREF
+    rows ``pivots`` of the system."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -877,15 +877,17 @@ class PuiseuxSeries:
         per coefficient.  It keeps rel relative orders, trunc of them when
         self is exact, else the span self is known over, so the result is
         known modulo t^(rel + v alpha); an exact monomial stays exact.  Each
-        g_n is kept as (den, ((d, re, im), ...)) ints, reduced once.
+        g_n is kept as (den, ((d, re, im), ...)) ints, reduced once.  u is 0
+        exactly when self has one exponent, and then the result is the
+        monomial.
         """
         v = self.terms[0][0]
         rel = trunc * self.ram if self.prec is None else self.prec - v
-        u = self * PuiseuxSeries(self.ram, ((-v, self._lead().inverse()),)) - 1
         shift = int(v * alpha)
         mono = PuiseuxSeries(self.ram, ((shift, root),))
-        if not u.terms:
+        if self.terms[-1][0] == v:
             return mono.truncate_units(None if self.prec is None else rel + shift)
+        u = self * PuiseuxSeries(self.ram, ((-v, self._lead().inverse()),)) - 1
         p, q = alpha.numerator, alpha.denominator
         f = [(k, list(fk)) for k, fk in groupby(u.terms, operator.itemgetter(0))]
         g = [(1, ((1, 1, 0),))]  # None for a zero coefficient

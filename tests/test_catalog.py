@@ -306,31 +306,79 @@ class TestSuite:
         assert again.counters == suite_report.counters
 
     def test_each_invariant_is_built_once_per_instance(self, monkeypatch):
-        from zinbiel5 import algebra
+        from zinbiel5 import algebra, cohomology
+        from zinbiel5.exactmath import ELIMINATIONS
 
-        calls = {}  # builder -> {id(A): [A, builds]}; A is kept, so no id is reused
+        # builder -> {(id(A), check): [A, builds]}; A is kept, so no id is reused
+        calls = {}
+        current = [None]  # the suite check that is running
 
         def counting(name, build):
             def wrapped(A):
-                calls.setdefault(name, {}).setdefault(id(A), [A, 0])[1] += 1
+                calls.setdefault(name, {}).setdefault((id(A), current[0]), [A, 0])[1] += 1
                 return build(A)
             return wrapped
 
+        def in_check(name, method):
+            def wrapped(self):
+                current[0] = name
+                return method(self)
+            return wrapped
+
+        def per_instance(name):
+            out = {}
+            for (key, _), (A, builds) in calls[name].items():
+                out.setdefault(key, [A, 0])[1] += builds
+            return out.values()
+
+        pairs = []  # (A, memo keys before, ELIMINATIONS delta)
+
+        def measured_pair(A):
+            # the invariants the fingerprint reads besides Der, Z^2 and B^2
+            algebra.power_filtration(A)
+            algebra.annihilator(A)
+            keys, before = set(A.__dict__), dict(ELIMINATIONS)
+            out = algebra._fingerprint_pair(A)
+            pairs.append((A, keys, {k: n - before[k] for k, n in ELIMINATIONS.items()}))
+            return out
+
         for name in ("_derivation_rows", "_annihilator", "_power_filtration"):
             monkeypatch.setattr(algebra, name, counting(name, getattr(algebra, name)))
+        monkeypatch.setattr(cohomology, "_cocycle_rows",
+                            counting("_cocycle_rows", cohomology._cocycle_rows))
+        for name in cat.CHECK_ORDER:
+            method = getattr(cat._Suite, f"check_{name}")
+            monkeypatch.setattr(cat._Suite, f"check_{name}", in_check(name, method))
+        monkeypatch.setattr(cat, "_fingerprint_pair", measured_pair)
         assert cat.verify_all().ok
-        assert all(len(calls[name]) >= 100 for name in calls) and len(calls) == 3
+        assert all(len(per_instance(name)) >= 100 for name in calls) and len(calls) == 4
         for name in ("_annihilator", "_power_filtration"):
-            assert all(builds == 1 for _, builds in calls[name].values()), name
+            assert all(builds == 1 for _, builds in per_instance(name)), name
             # one instance per (id, binding) for the run; only the checked
             # central extensions are built afresh, each its own algebra
-            labels = [A.label for A, _ in calls[name].values()
-                      if not A.label.endswith("_ext")]
+            labels = [A.label for A, _ in per_instance(name) if not A.label.endswith("_ext")]
             assert len(labels) == len(set(labels)), name
-        # the Der system once per method whose nullity the instance keeps:
-        # exact, and mod P as well for a fingerprinted one
-        for A, builds in calls["_derivation_rows"].values():
-            assert builds == sum(key.startswith("_der_") for key in A.__dict__), A
+        # Z^2 once per instance for the run: the H^2 basis and the exact and
+        # mod-P nullities share one build, and is_cocycle builds no rows
+        assert all(builds == 1 for _, builds in per_instance("_cocycle_rows"))
+        # Der once per instance in each check that needs it: the necessary
+        # and orbits checks take the exact nullity of some fingerprinted
+        # instances, and the fingerprints check builds Der once for the rest
+        assert all(builds == 1 for _, builds in calls["_derivation_rows"].values())
+        # and for the whole run at most once per Der nullity the instance
+        # keeps: exact, and mod P as well for a fingerprinted one
+        for A, builds in per_instance("_derivation_rows"):
+            assert builds <= sum(key.startswith("_der_") for key in A.__dict__), A
+        # a fingerprinted instance builds Der and Z^2 in the fingerprints
+        # check, and runs one integer and one modular reduction per system
+        assert len(pairs) >= 89
+        for A, keys, delta in pairs:
+            for name in ("_derivation_rows", "_cocycle_rows"):
+                assert calls[name][id(A), "fingerprints"][1] == 1, (A, name)
+            kept = {"_der_exact", "_der_modular", "_z2_pivots", "_z2_modular", "_b2_pivots"}
+            assert kept <= set(A.__dict__), A
+            assert delta["integer"] == len({"_der_exact", "_z2_pivots", "_b2_pivots"} - keys), A
+            assert (delta["modular"], delta["gaussian"]) == (2, 0), A
 
 
 class TestMutationSeam:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -459,3 +461,84 @@ def test_cohomologous_and_wellformed_match_rank_references(class_question_inputs
             assert report.classes_independent == want, A.label
             answers.add(want)
     assert answers == {True, False}
+
+
+# the direct cocycle test against the rows of the cocycle system -------------
+
+
+def _rows_vanish(A, m):
+    """Oracle: every row of the cocycle system vanishes on m."""
+    x = _vec(m)
+    return not any(
+        sum((x[c] * (GaussianRational(*v) if type(v) is tuple else grat(v))
+             for c, v in row.items()), ZERO)
+        for row in _cocycle_rows(A)
+    )
+
+
+def _one_entry_changed(m, rng):
+    """m with one entry, drawn by rng, changed by a nonzero amount."""
+    n = m.nrows
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = rows[i][j] + rng.choice([ONE, grat("-1/2"), grat("i")])
+    return ExactMatrix(rows)
+
+
+def _seeded_forms(A, rng, scalars):
+    """A seeded combination of the Z^2 basis of A, a cocycle, and the same
+    form with one entry changed."""
+    n = A.dim
+    total = ExactMatrix.zeros(n, n)
+    for z in cocycle_space(A):
+        total = total + z * rng.choice(scalars)
+    return [total, _one_entry_changed(total, rng)]
+
+
+def _assert_agrees(A, forms, seen):
+    for m in forms:
+        got = is_cocycle(A, m)
+        assert got == _rows_vanish(A, m), A.label
+        seen.add(got)
+
+
+def test_is_cocycle_agrees_with_the_rows_on_the_catalog():
+    from zinbiel5 import catalog
+
+    rng = random.Random(27)
+    scalars = [grat(x) for x in ("0", "1", "-2", "1/3")]
+    seen = set()
+    for eid in catalog.list_ids():
+        for A in catalog.family_members(eid):
+            _assert_agrees(A, [*h2(A).reps, *_seeded_forms(A, rng, scalars)], seen)
+    assert seen == {True, False}
+
+
+def test_is_cocycle_agrees_with_the_rows_on_records_and_generators():
+    from zinbiel5 import catalog
+
+    rng = random.Random(5)
+    seen = set()
+    for rec in catalog.extension_records():
+        for binding in catalog.family_samples(rec.child):
+            x = catalog.check_extension(rec, binding)
+            form = x.form.mats[0]
+            _assert_agrees(x.parent, [form, _one_entry_changed(form, rng)], seen)
+    suite = catalog._Suite(catalog.SuiteConfig())
+    for table in catalog.h2_tables():
+        for binding in suite._h2_bindings(table):
+            A = suite.tensor(table.algebra, binding)
+            gens = table.generators + table.completion
+            mats = catalog._bound_form(A.dim, gens, binding).mats
+            _assert_agrees(A, [*mats, *(_one_entry_changed(m, rng) for m in mats)], seen)
+    assert seen == {True, False}
+
+
+def test_is_cocycle_agrees_with_the_rows_on_a_moved_algebra(qi_moved_z05):
+    _, B = qi_moved_z05
+    rng = random.Random(11)
+    scalars = [grat(x) for x in ("0", "1", "i", "2-1/3*i")]
+    seen = set()
+    for _ in range(4):
+        _assert_agrees(B, _seeded_forms(B, rng, scalars), seen)
+    assert seen == {True, False}

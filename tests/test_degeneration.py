@@ -267,6 +267,27 @@ def test_certificate_index_requires_parametric_source():
         )
 
 
+@pytest.mark.parametrize("mode", ["exact", "auto"])
+def test_nonzero_target_at_an_exact_zero_entry_fails_there(mode):
+    """The exact tier skips an entry whose transported series is the exact
+    zero only when the target constant is zero too: a nonzero constant
+    there is a named failure."""
+    import dataclasses
+
+    (c,) = [c for c in certificates() if c.label == "Z_22 -> Z_17"]
+    source = _resolve_source(c.source)
+    grid, _ = transported_constants(source.dim, source.entries, c.basis)
+    (_, target), = _bound_samples(c)
+    assert verify_certificate(c, mode=mode).verdict == "verified"
+    n = source.dim
+    i, j, k = next((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                   if not grid[i][j][k] and not target.c[i][j][k])
+    mutant = algebra_from_entries(n, [*target.entries(), (i + 1, j + 1, k + 1, 3)])
+    rep = verify_certificate(dataclasses.replace(c, target=mutant), mode=mode)
+    assert (rep.verdict, rep.mode) == ("failed", "exact")
+    assert rep.samples[0].failures == ((i + 1, j + 1, k + 1, "-3"),)
+
+
 def _identity_rows(n, start):
     return tuple(
         tuple("1" if i == j else "0" for j in range(n)) for i in range(start, n)
