@@ -21,13 +21,13 @@ from .exactmath import (
     ExactMatrix,
     _cleared,
     _cleared_basis,
-    _frozen_pivots,
+    _eliminate,
+    _kernel_basis,
     _make,
     _Rows,
     grat,
     kernel_basis_sparse,
     nullity_mod_p,
-    rank_sparse,
 )
 
 __all__ = [
@@ -385,12 +385,13 @@ def _derivation_rows(A: Algebra):
 
 
 def derivations(A: Algebra):
-    """Basis of the derivation algebra, as ExactMatrix objects.
+    """Basis of the derivation algebra, as ExactMatrix objects, read from
+    the kept reduction of the Der system.
 
     Convention: D(e_i) = sum_j D[i][j] e_j, i.e. rows are images.
     """
     n = A.dim
-    vecs = kernel_basis_sparse(_derivation_rows(A), n * n)
+    vecs = _kernel_basis(_reduced(A, "der", _derivation_rows), n * n)
     return [
         ExactMatrix([[v[r * n + s] for s in range(n)] for r in range(n)])
         for v in vecs
@@ -398,23 +399,27 @@ def derivations(A: Algebra):
 
 
 def derivation_dimension(A: Algebra, method: str = "exact") -> int:
-    return _system_nullity(A, "der", _derivation_rows, method)
+    return _nullity(A, "der", _derivation_rows, method)
 
 
-def _system_nullity(A: Algebra, name: str, build, method: str) -> int:
-    """The :func:`_nullity` of the n^2-unknown system ``build(A)``, computed
-    once per algebra and method: a modular value never answers an exact
-    call, nor the reverse."""
-    method = "modular" if method == "modular" else "exact"
-    return _memo(A, f"_{name}_{method}",
-                 lambda A: _nullity(build(A), A.dim * A.dim, method))
+def _reduced(A: Algebra, name: str, build):
+    """The record (:func:`~zinbiel5.exactmath._eliminate`) of the exact
+    reduction of the system ``build(A)``, called ``name``, reduced once per
+    algebra.  Every exact reader of the system reads this record."""
+    return _memo(A, f"_{name}_reduced", lambda A: _eliminate(build(A)))
 
 
-def _nullity(rows, ncols: int, method: str) -> int:
-    """Nullity of a sparse system, exact or (method="modular") mod P."""
+def _nullity(A: Algebra, name: str, build, method: str) -> int:
+    """Nullity of the n^2-unknown system ``build(A)``, called ``name``: the
+    exact one, read from :func:`_reduced`, or (method="modular") the
+    Monte-Carlo one mod P, kept once per algebra under its own key, so a
+    modular value never answers an exact call, nor the reverse."""
+    n2 = A.dim * A.dim
+    if method == "exact":
+        return n2 - _reduced(A, name, build)[0]
     if method == "modular":
-        return nullity_mod_p(rows, ncols)
-    return ncols - rank_sparse(rows, ncols)
+        return _memo(A, f"_{name}_modular", lambda A: nullity_mod_p(build(A), n2))
+    raise ValueError(f"unknown method {method!r}: use 'exact' or 'modular'")
 
 
 def orbit_dimension(A: Algebra) -> int:
@@ -489,39 +494,42 @@ def fingerprint(A: Algebra, method: str = "exact") -> Fingerprint:
     Each part is computed once per algebra (and the two ranks once per
     method), so a second fingerprint of the same instance reads them back.
     """
-    from .cohomology import _z2_dimension, coboundary_dimension
+    from .cohomology import _cocycle_rows, coboundary_dimension
 
     n = A.dim
     pf = power_filtration(A)
     pdims = tuple(pf.dim(k) for k in range(2, 6))
     ann = len(annihilator(A))
     der = derivation_dimension(A, method=method)
-    z2 = _z2_dimension(A, method)
+    z2 = _nullity(A, "z2", _cocycle_rows, method)
     b2 = coboundary_dimension(A)
     return Fingerprint(n, pdims, ann, der, z2, z2 - b2)
 
 
 def _fingerprint_pair(A: Algebra) -> tuple:
     """(exact, modular): :func:`fingerprint` by both methods, with the Der
-    and the Z^2 rows built once each for both reductions.  The exact and
-    the mod-P reduction of a system still run separately, on the same rows,
-    and fill the memo keys that :func:`_system_nullity` and
-    :func:`~zinbiel5.cohomology._z2_pivots` read."""
+    and the Z^2 rows built at most once each for both reductions.  The
+    exact and the mod-P reduction of a system still run separately, on the
+    same rows, and keep what :func:`_nullity` reads."""
     from .cohomology import _cocycle_rows
 
-    n2 = A.dim * A.dim
-    exact = lambda rows: _nullity(rows, n2, "exact")
-    modular = lambda rows: _nullity(rows, n2, "modular")
-    for build, reductions in (
-        (_derivation_rows, {"_der_exact": exact, "_der_modular": modular}),
-        (_cocycle_rows, {"_z2_pivots": _frozen_pivots, "_z2_modular": modular}),
-    ):
-        missing = [key for key in reductions if A.__dict__.get(key) is None]
-        if missing:
-            rows = build(A)
-            for key in missing:
-                A.__dict__[key] = reductions[key](rows)
+    for name, build in (("der", _derivation_rows), ("z2", _cocycle_rows)):
+        once = _once(build)
+        for method in ("exact", "modular"):
+            _nullity(A, name, once, method)
     return fingerprint(A, "exact"), fingerprint(A, "modular")
+
+
+def _once(build):
+    """``build`` run at most once: later calls return the first result."""
+    kept = []
+
+    def once(A):
+        if not kept:
+            kept.append(build(A))
+        return kept[0]
+
+    return once
 
 
 def direct_sum(A: Algebra, B: Algebra) -> Algebra:

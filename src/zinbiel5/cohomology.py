@@ -15,21 +15,20 @@ from .algebra import (
     _annihilator_rows,
     _components,
     _memo,
+    _reduced,
     _RINGS,
     _system_constants,
-    _system_nullity,
     algebra_from_entries,
     annihilator,
 )
 from .exactmath import (
     ZERO,
     ExactMatrix,
-    _frozen_pivots,
-    _frozen_rref,
+    _eliminate,
     _kernel_basis,
     _make,
     _Rows,
-    _sparse_rref,
+    _rref,
     grat,
     kernel_basis_sparse,
 )
@@ -181,24 +180,10 @@ def _vec(mat: ExactMatrix):
 
 
 def cocycle_space(A: Algebra):
-    """RREF-canonical basis of Z^2(A) as matrices."""
+    """RREF-canonical basis of Z^2(A) as matrices, read from the kept
+    reduction of the Z^2 system, which the exact Z^2 nullity reads too."""
     n = A.dim
-    return [_unvec(v, n) for v in _kernel_basis(_frozen_rref(_z2_pivots(A)), n * n)]
-
-
-def _z2_pivots(A: Algebra):
-    """The integer pivot rows (:func:`~zinbiel5.exactmath._frozen_pivots`)
-    of the exact Z^2 system, reduced once per algebra; the exact Z^2
-    nullity and :func:`cocycle_space` both read them."""
-    return _memo(A, "_z2_pivots", lambda A: _frozen_pivots(_cocycle_rows(A)))
-
-
-def _z2_dimension(A: Algebra, method: str) -> int:
-    """dim Z^2(A), exact or (method="modular") mod P, once per algebra and
-    method."""
-    if method == "modular":
-        return _system_nullity(A, "z2", _cocycle_rows, method)
-    return A.dim * A.dim - _z2_pivots(A)[0]
+    return [_unvec(v, n) for v in _kernel_basis(_reduced(A, "z2", _cocycle_rows), n * n)]
 
 
 def _coboundary_rows(A: Algebra):
@@ -211,23 +196,17 @@ def _coboundary_rows(A: Algebra):
     return _Rows((row for row in rows if row), real)
 
 
-def _b2_pivots(A: Algebra):
-    """The integer pivot rows of the B^2 system, reduced once per algebra;
-    :func:`coboundary_space` and :func:`coboundary_dimension` read them."""
-    return _memo(A, "_b2_pivots", lambda A: _frozen_pivots(_coboundary_rows(A)))
-
-
 def coboundary_space(A: Algebra):
-    """Basis of B^2(A) = { (x,y) -> f(xy) }, RREF-canonical."""
+    """Basis of B^2(A) = { (x,y) -> f(xy) }, RREF-canonical, read from the
+    kept reduction of the B^2 system."""
     n = A.dim
-    pivots = _frozen_rref(_b2_pivots(A))
-    return [_unvec([pivots[p].get(c, ZERO) for c in range(n * n)], n)
-            for p in sorted(pivots)]
+    pivots = _rref(_reduced(A, "b2", _coboundary_rows))
+    return [_unvec([row.get(c, ZERO) for c in range(n * n)], n) for row in pivots.values()]
 
 
 def coboundary_dimension(A: Algebra) -> int:
-    """dim B^2(A), computed once per algebra."""
-    return _b2_pivots(A)[0]
+    """dim B^2(A), the rank of the kept reduction of the B^2 system."""
+    return _reduced(A, "b2", _coboundary_rows)[0]
 
 
 @dataclass(frozen=True)
@@ -256,7 +235,7 @@ def _new_classes(b2, forms) -> list:
         for r in range(len(cols[0]) if cols else 0)
     )
     k = len(b2)
-    return [c - k for c in sorted(_sparse_rref(rows)) if c >= k]
+    return [c - k for c, _ in _eliminate(rows)[1] if c >= k]
 
 
 def h2(A: Algebra) -> CohomologyBasis:

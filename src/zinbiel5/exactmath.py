@@ -32,6 +32,13 @@ the algebra's ring (a :class:`_Rows` list), which the eliminator takes as
 they are; any other rows are cleared of denominators once
 (:func:`_cleared_rows`).
 
+An exact reduction, :func:`_eliminate`, returns one frozen record
+(rank, pivots, real): the integer pivot rows, sorted by pivot column and
+each by column, so it is canonical and a caller may keep it.  Every exact
+reader takes it: the rank, the pivot columns, the span basis
+(:func:`_cleared_basis`), the kernel basis (:func:`_kernel_basis`) and the
+RREF (:func:`_rref`).
+
 Z and Z[i] are integral domains and the work is fraction-free, so the RREF
 is exact with no proof step; no ``Fraction`` is built during elimination,
 and the RREF entries a caller reads are built once each, as v/L.  The cost
@@ -397,11 +404,10 @@ class ExactMatrix:
 
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, pivot column tuple)."""
-        pivots = _sparse_rref(self._sparse_rows())
-        order = sorted(pivots)
-        rows = [[pivots[p].get(c, ZERO) for c in range(self.ncols)] for p in order]
-        rows += [[ZERO] * self.ncols for _ in range(self.nrows - len(order))]
-        return ExactMatrix(rows), tuple(order)
+        pivots = _rref(_eliminate(self._sparse_rows()))
+        rows = [[row.get(c, ZERO) for c in range(self.ncols)] for row in pivots.values()]
+        rows += [[ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
+        return ExactMatrix(rows), tuple(pivots)
 
     def rank(self) -> int:
         return rank_sparse(self._sparse_rows(), self.ncols)
@@ -602,7 +608,7 @@ class _Rows(list):
 
 
 def _eliminate(rows):
-    """Row-reduce sparse rows.  Returns (pivots, real).
+    """Row-reduce sparse rows.  Returns the record (rank, pivots, real).
 
     The entries of the rows are ints when the system is real and (re, im)
     int pairs when it is not, as the system builders state them in a
@@ -612,13 +618,18 @@ def _eliminate(rows):
     every entry is real (``real`` True, int entries), else over Z[i]
     ((re, im) entries).  Either way each pivot row is its RREF row times its
     pivot entry, a positive int.
+
+    ``pivots`` holds them as (pivot column, ((column, entry), ...)) pairs,
+    sorted by pivot column and each row's entries by column, so a row's
+    first entry is its pivot entry.  The record is canonical: a permutation
+    of the rows gives an equal one.  It is made of tuples and ints, so a
+    caller can keep it and none can change it; :func:`_rref` reads it.
     """
     rows, real = _cleared_rows(rows)
-    if real:
-        ELIMINATIONS["integer"] += 1
-        return _gauss_jordan(rows, _int_subtract, _make_primitive), True
-    ELIMINATIONS["gaussian"] += 1
-    return _gauss_jordan(rows, _gaussian_subtract, _gaussian_normalize), False
+    ELIMINATIONS["integer" if real else "gaussian"] += 1
+    ring = (_int_subtract, _make_primitive) if real else (_gaussian_subtract, _gaussian_normalize)
+    pivots = _gauss_jordan(rows, *ring)
+    return len(pivots), tuple((p, tuple(sorted(pivots[p].items()))) for p in sorted(pivots)), real
 
 
 def _cleared_rows(rows):
@@ -637,51 +648,25 @@ def _cleared_rows(rows):
     return [{c: a for c, (a, _) in row.items()} for row in out], True
 
 
-def _sparse_rref(rows):
-    """Online RREF of sparse rows.  Returns dict pivot_col -> row dict.
-
-    Each pivot row is normalized (1 at its pivot, its least column) and
-    kept zero in every other pivot column; its entries are
-    GaussianRationals, each built once from the integer pivot row of
-    :func:`_eliminate`.
-    """
-    return _read_rref(*_eliminate(rows))
-
-
-def _frozen_pivots(rows):
-    """(rank, pivots, real): the integer pivot rows of :func:`_eliminate` as
-    a tuple of (pivot column, ((column, entry), ...)) pairs, which a caller
-    can keep and none can change.  An entry is an int when ``real`` and a
-    (re, im) int pair otherwise.  :func:`_frozen_rref` reads them back."""
-    pivots, real = _eliminate(rows)
-    return len(pivots), tuple((p, tuple(row.items())) for p, row in pivots.items()), real
-
-
-def _frozen_rref(frozen):
-    """The RREF rows, as :func:`_sparse_rref` returns them, of the pivot
-    rows kept by :func:`_frozen_pivots`."""
-    _, pivots, real = frozen
-    return _read_rref({p: dict(row) for p, row in pivots}, real)
-
-
-def _read_rref(pivots, real):
-    """The RREF rows of the integer pivot rows of :func:`_eliminate`, as
-    :func:`_sparse_rref` returns them: each divided by its pivot entry."""
+def _rref(record):
+    """The RREF of a record of :func:`_eliminate`: dict pivot_col -> row
+    dict, in pivot-column order.  Each row is 1 at its pivot, its least
+    column, and zero in every other pivot column; its entries are
+    GaussianRationals, each built once, as v/L with L the pivot entry."""
+    _, pivots, real = record
     if real:
-        return {p: {c: _make(v, 0, row[p]) for c, v in row.items()}
-                for p, row in pivots.items()}
-    return {p: {c: _make(a, b, row[p][0]) for c, (a, b) in row.items()}
-            for p, row in pivots.items()}
+        return {p: {c: _make(v, 0, row[0][1]) for c, v in row} for p, row in pivots}
+    return {p: {c: _make(a, b, row[0][1][0]) for c, (a, b) in row} for p, row in pivots}
 
 
 def _cleared_basis(rows):
     """A basis of the span of sparse rows (as :func:`_eliminate` takes
     them), each vector as (d, {col: (re, im)}) over Z[i]: the integer pivot
     rows, with d = 1."""
-    pivots, real = _eliminate(rows)
+    _, pivots, real = _eliminate(rows)
     if real:
-        return [(1, {c: (v, 0) for c, v in row.items()}) for row in pivots.values()]
-    return [(1, row) for row in pivots.values()]
+        return [(1, {c: (v, 0) for c, v in row}) for _, row in pivots]
+    return [(1, dict(row)) for _, row in pivots]
 
 
 def _cleared(pairs):
@@ -705,7 +690,7 @@ def _parts(x) -> tuple:
 
 def rank_sparse(rows, ncols: int) -> int:
     """Rank of a sparse system given as iterables of {col: coeff} rows."""
-    return len(_eliminate(rows)[0])
+    return _eliminate(rows)[0]
 
 
 def kernel_basis_sparse(rows, ncols: int):
@@ -716,12 +701,13 @@ def kernel_basis_sparse(rows, ncols: int):
     of dense tuple vectors of length ncols, one per free column, ordered by
     free column index.
     """
-    return _kernel_basis(_sparse_rref(rows), ncols)
+    return _kernel_basis(_eliminate(rows), ncols)
 
 
-def _kernel_basis(pivots, ncols: int):
-    """The kernel basis of :func:`kernel_basis_sparse`, read from the RREF
-    rows ``pivots`` of the system."""
+def _kernel_basis(record, ncols: int):
+    """The kernel basis of :func:`kernel_basis_sparse`, read from the
+    record of :func:`_eliminate` of the system."""
+    pivots = _rref(record)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

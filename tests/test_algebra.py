@@ -407,6 +407,38 @@ def test_fingerprint_methods_keep_separate_ranks_on_one_instance(first, then):
     assert dict(ELIMINATIONS) == before
 
 
+@pytest.mark.parametrize("method", ["modualr", "MODULAR", "Exact", ""])
+def test_unknown_method_is_rejected(method):
+    """Only "exact" and "modular" name a method, also once both are kept."""
+    from zinbiel5.catalog import instantiate
+
+    A = instantiate("Z_05")
+    fingerprint(A, "exact")
+    fingerprint(A, "modular")
+    for call in (derivation_dimension, fingerprint):
+        with pytest.raises(ValueError) as info:
+            call(A, method=method)
+        assert repr(method) in str(info.value) and "\n" not in str(info.value)
+
+
+def test_exact_readers_share_one_reduction_per_system(qi_moved_z05):
+    """Once fingerprint and h2 have run, every exact reader of the Der, Z^2
+    and B^2 systems reads the kept reductions: none reduces a system again."""
+    from zinbiel5.catalog import instantiate
+    from zinbiel5.cohomology import coboundary_dimension, coboundary_space, cocycle_space, h2
+    from zinbiel5.exactmath import ELIMINATIONS
+
+    for A in (instantiate("Z_05"), qi_moved_z05[1]):
+        fingerprint(A)
+        h2(A)
+        before = dict(ELIMINATIONS)
+        got = (derivations(A), derivation_dimension(A), cocycle_space(A),
+               coboundary_space(A), coboundary_dimension(A))
+        assert dict(ELIMINATIONS) == before, A
+        fresh = algebra_from_entries(A.dim, A.entries(), label=A.label)
+        assert got[0] == derivations(fresh) and len(got[0]) == got[1], A
+
+
 def test_kept_annihilator_is_not_aliased():
     A = alg(3, (1, 1, 2, 1))
     basis = annihilator(A)
@@ -613,8 +645,7 @@ def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
     a Q(i)-moved algebra, and their ranks, construct no GaussianRational:
     the builders hand the eliminator (re, im) int pairs, as a _Rows list."""
     from zinbiel5 import algebra, cohomology, exactmath
-    from zinbiel5.algebra import (_annihilator, _annihilator_rows, _components, _nullity,
-                                  _power_filtration)
+    from zinbiel5.algebra import _annihilator, _annihilator_rows, _components, _power_filtration
     from zinbiel5.cohomology import _coboundary_rows
 
     A, B = qi_moved_z05
@@ -622,14 +653,19 @@ def test_complex_systems_build_no_gaussian_rational(monkeypatch, qi_moved_z05):
     mats, real = _components(B)
     assert not real and _components(A)[1]
 
+    def nullity(rows, ncols, method):
+        if method == "modular":
+            return exactmath.nullity_mod_p(rows, ncols)
+        return ncols - exactmath.rank_sparse(rows, ncols)
+
     # the builders themselves: the public entry points keep their results
     # on the instance, and the fixture is shared
     def invariants(X, method):
         mats, real = _components(X)
         return (
-            _nullity(_derivation_rows(X), n * n, method),
-            _nullity(_cocycle_rows(X), n * n, method),
-            _nullity(exactmath._Rows(_annihilator_rows(mats), real), n, method),
+            nullity(_derivation_rows(X), n * n, method),
+            nullity(_cocycle_rows(X), n * n, method),
+            nullity(exactmath._Rows(_annihilator_rows(mats), real), n, method),
             _power_filtration(X).dims,
             exactmath.rank_sparse(_coboundary_rows(X), n * n),
         )

@@ -375,9 +375,9 @@ class TestSuite:
         for A, keys, delta in pairs:
             for name in ("_derivation_rows", "_cocycle_rows"):
                 assert calls[name][id(A), "fingerprints"][1] == 1, (A, name)
-            kept = {"_der_exact", "_der_modular", "_z2_pivots", "_z2_modular", "_b2_pivots"}
+            kept = {"_der_reduced", "_der_modular", "_z2_reduced", "_z2_modular", "_b2_reduced"}
             assert kept <= set(A.__dict__), A
-            assert delta["integer"] == len({"_der_exact", "_z2_pivots", "_b2_pivots"} - keys), A
+            assert delta["integer"] == len({"_der_reduced", "_z2_reduced", "_b2_reduced"} - keys), A
             assert (delta["modular"], delta["gaussian"]) == (2, 0), A
 
 

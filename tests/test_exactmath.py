@@ -153,8 +153,9 @@ def test_modp_nullity_matches_exact(m):
 
 
 def _sparse_textbook_rref(rows, ncols):
-    """The textbook RREF of sparse rows, as :func:`exactmath._sparse_rref`
-    returns it: dict pivot_col -> {col: nonzero entry}."""
+    """The textbook RREF of sparse rows, as :func:`exactmath._rref` reads it
+    from the record of :func:`exactmath._eliminate`: dict pivot_col ->
+    {col: nonzero entry}."""
     m = ExactMatrix([[grat(row.get(c, 0)) for c in range(ncols)] for row in rows])
     red, pivots = _textbook_rref(m)
     return {p: {c: x for c, x in enumerate(row) if x} for row, p in zip(red, pivots)}
@@ -184,7 +185,7 @@ def test_gaussian_path_matches_textbook(m, data):
     before = [dict(row) for row in sparse]
     counts = dict(exactmath.ELIMINATIONS)
     expected = _sparse_textbook_rref(sparse, ncols)
-    assert exactmath._sparse_rref(sparse) == expected
+    assert exactmath._rref(exactmath._eliminate(sparse)) == expected
     assert rank_sparse(sparse, ncols) == len(expected)
     assert sparse == before  # the input rows are not modified
     assert exactmath.ELIMINATIONS["gaussian"] == counts["gaussian"] + 2
@@ -218,7 +219,7 @@ TALL = 2**64 + 1
     ids=["above-2**64", "above-wang-bound", "det-P", "denominator-P"],
 )
 def test_tall_complex_systems_reduce_exactly(rows, rref):
-    assert exactmath._sparse_rref(rows) == rref == _sparse_textbook_rref(rows, 2)
+    assert exactmath._rref(exactmath._eliminate(rows)) == rref == _sparse_textbook_rref(rows, 2)
     assert rank_sparse(rows, 2) == len(rref)
 
 
@@ -233,11 +234,12 @@ def test_modp_nullity_stays_an_upper_bound_when_p_divides_the_system():
 def test_gaussian_path_keeps_pivot_rows_primitive():
     # the int 3 is cleared with the 1/2 in its row: (6, 1, 2i)
     rows = [{0: GaussianRational(1, 1), 1: 2}, {0: 3, 1: grat("1/2"), 2: I}]
-    pivots, real = exactmath._eliminate(rows)
-    assert not real
+    record = exactmath._eliminate(rows)
+    rank, pivots, real = record
+    assert not real and rank == 2
     # each pivot entry a positive int, the parts of each row coprime
-    assert pivots == {0: {0: (61, 0), 2: (-2, 22)}, 1: {1: (61, 0), 2: (12, -10)}}
-    assert exactmath._sparse_rref(rows) == {
+    assert pivots == ((0, ((0, (61, 0)), (2, (-2, 22)))), (1, ((1, (61, 0)), (2, (12, -10)))))
+    assert exactmath._rref(record) == {
         0: {0: ONE, 2: grat("-2/61+22/61*i")},
         1: {1: ONE, 2: grat("12/61-10/61*i")},
     }
@@ -297,7 +299,7 @@ def test_integer_path_matches_fraction_loop(system):
     before = [dict(row) for row in rows]
     counts = dict(exactmath.ELIMINATIONS)
     expected = _sparse_textbook_rref(rows, ncols)
-    assert exactmath._sparse_rref(rows) == expected
+    assert exactmath._rref(exactmath._eliminate(rows)) == expected
     assert rank_sparse(rows, ncols) == len(expected)
     assert nullity_mod_p(rows, ncols) == ncols - len(expected)
     assert rows == before  # the input rows are not modified
@@ -316,10 +318,11 @@ def test_rows_counter_counts_every_row_fed_to_the_eliminator():
 
 
 def test_integer_path_keeps_pivot_rows_primitive():
-    pivots, integral = exactmath._eliminate([{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}])
-    assert integral
-    assert pivots == {0: {0: 3, 2: -1}, 1: {1: 1, 2: 1}}
-    assert exactmath._sparse_rref([{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}]) == {
+    record = exactmath._eliminate([{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}])
+    rank, pivots, integral = record
+    assert integral and rank == 2
+    assert pivots == ((0, ((0, 3), (2, -1))), (1, ((1, 1), (2, 1))))
+    assert exactmath._rref(record) == {
         0: {0: ONE, 2: grat("-1/3")},
         1: {1: ONE, 2: ONE},
     }
