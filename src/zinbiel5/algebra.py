@@ -13,6 +13,7 @@ sides are divided back into Q(i).
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import astuple, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -22,12 +23,12 @@ from .exactmath import (
     _cleared,
     _cleared_basis,
     _eliminate,
-    _kernel_basis,
     _make,
     _Rows,
     grat,
     kernel_basis_sparse,
     nullity_mod_p,
+    rank_sparse,
 )
 
 __all__ = [
@@ -98,10 +99,12 @@ def product(A: Algebra, x: Sequence, y: Sequence) -> tuple:
 def _memo(A: Algebra, key: str, build):
     """``build(A)``, computed once per algebra and kept on the frozen instance
     under ``key``.  Only results are kept (ints, tuples, frozen records), so
-    no caller can change them; the row systems they come from are not."""
+    no caller can change them; the row systems they come from are not.  The
+    key is interned: a key built per call (an f-string) would otherwise be
+    kept once per instance."""
     cached = A.__dict__.get(key)
     if cached is None:
-        cached = A.__dict__[key] = build(A)
+        cached = A.__dict__[sys.intern(key)] = build(A)
     return cached
 
 
@@ -385,13 +388,12 @@ def _derivation_rows(A: Algebra):
 
 
 def derivations(A: Algebra):
-    """Basis of the derivation algebra, as ExactMatrix objects, read from
-    the kept reduction of the Der system.
+    """Basis of the derivation algebra, as ExactMatrix objects.
 
     Convention: D(e_i) = sum_j D[i][j] e_j, i.e. rows are images.
     """
     n = A.dim
-    vecs = _kernel_basis(_reduced(A, "der", _derivation_rows), n * n)
+    vecs = kernel_basis_sparse(_derivation_rows(A), n * n)
     return [
         ExactMatrix([[v[r * n + s] for s in range(n)] for r in range(n)])
         for v in vecs
@@ -405,8 +407,14 @@ def derivation_dimension(A: Algebra, method: str = "exact") -> int:
 def _reduced(A: Algebra, name: str, build):
     """The record (:func:`~zinbiel5.exactmath._eliminate`) of the exact
     reduction of the system ``build(A)``, called ``name``, reduced once per
-    algebra.  Every exact reader of the system reads this record."""
-    return _memo(A, f"_{name}_reduced", lambda A: _eliminate(build(A)))
+    algebra.  Every exact reader of the system reads this record.  Only the
+    Z^2 and B^2 systems, whose spaces are read from their pivot rows, keep
+    the whole record; any other keeps ``(rank,)``, as Der does: no check
+    reads Der's pivot rows, and keeping them slowed a suite run and raised
+    its peak RSS, so :func:`derivations` reduces Der again."""
+    if name in ("z2", "b2"):
+        return _memo(A, f"_{name}_reduced", lambda A: _eliminate(build(A)))
+    return _memo(A, f"_{name}_reduced", lambda A: (rank_sparse(build(A), A.dim * A.dim),))
 
 
 def _nullity(A: Algebra, name: str, build, method: str) -> int:

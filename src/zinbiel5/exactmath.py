@@ -35,9 +35,9 @@ they are; any other rows are cleared of denominators once
 An exact reduction, :func:`_eliminate`, returns one frozen record
 (rank, pivots, real): the integer pivot rows, sorted by pivot column and
 each by column, so it is canonical and a caller may keep it.  Every exact
-reader takes it: the rank, the pivot columns, the span basis
+reader of pivot rows takes it: the pivot columns, the span basis
 (:func:`_cleared_basis`), the kernel basis (:func:`_kernel_basis`) and the
-RREF (:func:`_rref`).
+RREF (:func:`_rref`).  A rank alone (:func:`rank_sparse`) builds no record.
 
 Z and Z[i] are integral domains and the work is fraction-free, so the RREF
 is exact with no proof step; no ``Fraction`` is built during elimination,
@@ -625,11 +625,18 @@ def _eliminate(rows):
     of the rows gives an equal one.  It is made of tuples and ints, so a
     caller can keep it and none can change it; :func:`_rref` reads it.
     """
+    pivots, real = _pivot_rows(rows)
+    return len(pivots), tuple((p, tuple(sorted(pivots[p].items()))) for p in sorted(pivots)), real
+
+
+def _pivot_rows(rows):
+    """(pivots, real): the reduction of :func:`_eliminate` before it is
+    frozen, dict pivot_col -> row dict as :func:`_gauss_jordan` leaves it.
+    :func:`rank_sparse` reads its length, so a rank builds no record."""
     rows, real = _cleared_rows(rows)
     ELIMINATIONS["integer" if real else "gaussian"] += 1
     ring = (_int_subtract, _make_primitive) if real else (_gaussian_subtract, _gaussian_normalize)
-    pivots = _gauss_jordan(rows, *ring)
-    return len(pivots), tuple((p, tuple(sorted(pivots[p].items()))) for p in sorted(pivots)), real
+    return _gauss_jordan(rows, *ring), real
 
 
 def _cleared_rows(rows):
@@ -690,7 +697,7 @@ def _parts(x) -> tuple:
 
 def rank_sparse(rows, ncols: int) -> int:
     """Rank of a sparse system given as iterables of {col: coeff} rows."""
-    return _eliminate(rows)[0]
+    return len(_pivot_rows(rows)[0])
 
 
 def kernel_basis_sparse(rows, ncols: int):
