@@ -524,11 +524,15 @@ def _timings(enabled: bool):
     """For ``--timings``: while the block runs, print to stderr, as they are
     written, the DEBUG records of ``zinbiel5.degeneration``: one per
     certificate sample, with its tier, truncation reached, determinant
-    valuation and time.  The handler is attached for the block only.  Then
-    print one ``total`` line: the systems the block row-reduced per
-    elimination path, and its wall time."""
+    valuation and time.  The handler is attached for the block only.
+
+    The block may append (name, counts, seconds) lines to the list it is
+    given.  When it ends the clock stops; then each of its lines is printed,
+    and one ``total`` line: the systems the block row-reduced per
+    elimination path, and its wall time.  So no line's printing is timed."""
+    lines = []
     if not enabled:
-        yield
+        yield lines
         return
     import logging
 
@@ -538,12 +542,14 @@ def _timings(enabled: bool):
     log.setLevel(logging.DEBUG)
     before, start = dict(ELIMINATIONS), perf_counter()
     try:
-        yield
+        yield lines
     finally:
+        seconds = perf_counter() - start
         log.removeHandler(handler)
         log.setLevel(level)
-    _timing_line("total", {k: n - before[k] for k, n in ELIMINATIONS.items()},
-                 perf_counter() - start)
+    for line in lines:
+        _timing_line(*line)
+    _timing_line("total", {k: n - before[k] for k, n in ELIMINATIONS.items()}, seconds)
 
 
 def _timing_line(name: str, counts: dict, seconds: float):
@@ -585,11 +591,10 @@ def _cmd_catalog_get(args) -> int:
 
 def _cmd_catalog_verify_all(args) -> int:
     checks = tuple(c for c in (args.checks or "").split(",") if c)
-    with _timings(args.timings):
+    with _timings(args.timings) as lines:
         report = verify_all(SuiteConfig(checks=checks))
-        if args.timings:
-            for (name, seconds), (_, counts) in zip(report.timings, report.counters):
-                _timing_line(name, counts, seconds)
+        lines.extend((name, counts, seconds)
+                     for (name, seconds), (_, counts) in zip(report.timings, report.counters))
     if args.format == "json":
         print(json.dumps(report.as_dict(), sort_keys=True, separators=(",", ":")))
     else:

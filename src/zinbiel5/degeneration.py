@@ -42,11 +42,12 @@ from .series import (
     Radical,
     ScalarValueError,
     TConst,
+    _NumericContext,
+    _evaluate,
     _fold_numeric,
     _load_mpmath as _load_series_mpmath,
     _to_mpmath,
     collect_sqrt_keys,
-    evaluate_numeric,
     evaluate_scalar,
     expand_series,
     expression_symbols,
@@ -464,53 +465,112 @@ def _extrapolator(xs):
 def _lu(A):
     """mpmath's ``LU_decomp`` of the square list A, in place.
 
-    The same steps in the same order at the caller's precision: the
+    The same decisions and the same values at the caller's precision: the
     tolerance |mnorm_1(A) * eps|, the pivot with the largest |A[k][j]| over
     its row's reciprocal absolute sum (first strict maximum), the row swap,
-    and the ``/=`` and ``-=`` updates.  An entry that becomes zero is stored
-    as mpmath's zero, as the matrix class reads it back.  Only provably
-    idle work is left out: zero terms of the absolute sums, the ``fsum`` of
-    a one-term sum (an absolute value is already at the precision, and
-    rounds to itself), divisions of zero, and updates that ``_changes``
-    finds leave an entry as it is.  So
-    every entry is bit-identical to mpmath's.  Returns the pivot rows, or
-    None when A is numerically singular or a column has no pivot.
+    and the ``/=`` and ``-=`` updates, so every entry is bit-identical to
+    mpmath's.  Every zero of A must be ``mpmath.mp.zero`` itself, as
+    ``_det_and_inverse`` stores it, and an entry that becomes zero is
+    stored as that zero, as mpmath's matrix class reads it back: so every
+    zero in the factor is mpmath's ``mpf`` zero, and is tested by identity.
+
+    The search, ``tol`` and the singularity tests compute mpmath's
+    magnitudes, sums, ratios and comparisons on the raw ``_mpf_`` values
+    through ``mpmath.libmp``, with the rounding mpmath uses for each; all of
+    these values are real.  Only work whose result nobody reads is left out:
+
+    - zero terms of the absolute sums, which add nothing;
+    - the ratio of a lone candidate (the only row nonzero in the column):
+      its ratio is positive and every other row's is 0, and a lone
+      candidate wins the strict ``>`` against 0;
+    - the absolute sum of a row whose ratio is not computed, when one of
+      its magnitudes exceeds ``tol``: a correctly rounded sum of
+      magnitudes is at least its largest term, so the row passes the
+      singularity test;
+    - the elimination in rows that are zero in the pivot column, and in
+      the other rows in the columns where the pivot row is zero: the
+      multiplier or the pivot row's entry is the ``mpf`` zero, so the
+      product is a zero.  Where ``_changes`` finds that this zero is an
+      ``mpc`` that turns a real entry complex (a complex multiplier or
+      pivot row entry makes it one), the entry is still updated.
+
+    Returns the pivot rows, or None when A is numerically singular or a
+    column has no pivot.
     """
-    zero = mpmath.mp.zero
+    libmp = mpmath.libmp
+    mpf_abs, mpc_abs, mpf_sum = libmp.mpf_abs, libmp.mpc_abs, libmp.mpf_sum
+    mpf_le, mpf_gt = libmp.mpf_le, libmp.mpf_gt
+    mpf, mpc, zero = mpmath.mpf, mpmath.mpc, mpmath.mp.zero
+    prec, rnd = mpmath.mp._prec_rounding  # what every mpf operation rounds to
     n = len(A)
-    tol = abs(
-        max(mpmath.fsum([x for x in col if x], absolute=True) for col in zip(*A))
-        * mpmath.eps
-    )
+    # mnorm's fsum(absolute=True) takes an mpc's magnitude at its default
+    # rounding, and an mpf's sign off
+    norm = libmp.fzero
+    for col in zip(*A):
+        s = mpf_sum([x._mpf_ if type(x) is mpf else mpc_abs(x._mpc_, prec)
+                     for x in col if x is not zero], prec, rnd, True)
+        if mpf_gt(s, norm):
+            norm = s
+    tol = mpf_abs(libmp.mpf_mul(norm, mpmath.eps._mpf_, prec, rnd), prec, rnd)
+
+    def magnitude(x):
+        """abs(x), as mpmath rounds it."""
+        return mpf_abs(x._mpf_, prec, rnd) if type(x) is mpf else mpc_abs(x._mpc_, prec, rnd)
+
+    def singular(row, j):
+        """Whether the absolute sum of row[j:] is at most tol."""
+        mags = []
+        for x in row[j:]:
+            if x is not zero:
+                m = magnitude(x)
+                if mpf_gt(m, tol):
+                    return False
+                mags.append(m)
+        return mpf_le(mpf_sum(mags, prec, rnd), tol)
+
     p = []
     for j in range(n - 1):
-        biggest, pj = 0, None
-        for k in range(j, n):
-            row = A[k]
-            mags = [abs(x) for x in row[j:] if x]
-            # fsum of one term at the precision is that term
-            s = mags[0] if len(mags) == 1 else mpmath.fsum(mags)
-            if s <= tol:
-                return None
-            if row[j]:
-                current = 1 / s * mags[0]
-                if current > biggest:
+        candidates = [k for k in range(j, n) if A[k][j] is not zero]
+        if not candidates:
+            return None
+        pj = candidates[0]
+        lone = len(candidates) == 1
+        if not lone:
+            biggest = libmp.fzero
+            for k in candidates:
+                mags = [magnitude(x) for x in A[k][j:] if x is not zero]
+                s = mpf_sum(mags, prec, rnd)
+                if mpf_le(s, tol):
+                    return None
+                current = libmp.mpf_mul(libmp.mpf_rdiv_int(1, s, prec, rnd), mags[0], prec, rnd)
+                if mpf_gt(current, biggest):
                     biggest, pj = current, k
-        if pj is None:
+        if any(singular(A[k], j) for k in range(j, n) if lone or A[k][j] is zero):
             return None
         p.append(pj)
         A[j], A[pj] = A[pj], A[j]
         Aj = A[j]
         pivot = Aj[j]
-        if abs(pivot) <= tol:
+        if mpf_le(magnitude(pivot), tol):
             return None
+        nonzero_cols = [k for k in range(j + 1, n) if Aj[k] is not zero]
+        complex_cols = [k for k in nonzero_cols if type(Aj[k]) is mpc]
         for i in range(j + 1, n):
             Ai = A[i]
-            f = Ai[j] = Ai[j] and Ai[j] / pivot
-            for k in range(j + 1, n):
+            f = Ai[j]
+            if f is zero:
+                cols = complex_cols
+            else:
+                f = Ai[j] = f / pivot
+                if type(f) is not mpc:
+                    for k in nonzero_cols:
+                        Ai[k] = Ai[k] - f * Aj[k] or zero
+                    continue
+                cols = range(j + 1, n)
+            for k in cols:
                 if _changes(Ai[k], f, Aj[k]):
                     Ai[k] = Ai[k] - f * Aj[k] or zero
-    if abs(A[n - 1][n - 1]) <= tol:
+    if mpf_le(magnitude(A[n - 1][n - 1]), tol):
         return None
     return p
 
@@ -520,10 +580,33 @@ def _changes(a, x, y):
 
     It does when x*y is nonzero, or when x*y is a complex zero and a is
     real (the difference is then complex).  Subtracting any other zero only
-    rounds a to the precision it already has.
+    rounds a to the precision it already has.  A zero times a complex
+    number is a complex zero, so a zero entry of the factor still changes
+    a real a when the other operand is complex.
     """
     mpc = mpmath.mpc
     return (x and y) or (type(a) is not mpc and mpc in (type(x), type(y)))
+
+
+def _subtract_terms(b, i, terms, complex_before):
+    """b[i] minus x * b[j] over the (j, x) of terms in order, as mpmath's
+    solve loops compute it over the whole row.
+
+    terms lists the row's nonzero factor entries.  A zero entry's product
+    is a zero, so it changes b[i] only when b[j] is complex and b[i] real,
+    and then only b[i]'s type: complex_before says whether any b[j] the
+    loop reads is complex, and a real b[i] left after the nonzero terms
+    takes its complex zero then.  Arithmetic on a real number and on the
+    same number as a complex one with imaginary part 0 gives the same
+    parts, so where in the row the type changes moves no bit.
+    """
+    bi = b[i]
+    for j, x in terms:
+        if _changes(bi, x, b[j]):
+            bi = bi - x * b[j]
+    if complex_before and type(bi) is not mpmath.mpc:
+        bi = bi - mpmath.mpc(0)
+    return bi
 
 
 def _det_and_inverse(E):
@@ -534,9 +617,12 @@ def _det_and_inverse(E):
     precision.  The inverse is ``mpmath.inverse``: an LU at 10 more bits,
     then one ``L_solve`` / ``U_solve`` per unit vector.  Each factorisation
     keeps its own precision, so each decides numerical singularity where
-    mpmath does.  Returns (0, None) when E is singular.
+    mpmath does.  The solves walk each row's nonzero L and U entries, listed
+    once per factorisation (``_subtract_terms``): every zero of the factor
+    is mpmath's ``mpf`` zero, whose products change no value.  Returns
+    (0, None) when E is singular.
     """
-    zero, one = mpmath.mp.zero, mpmath.mp.one
+    zero, one, mpc = mpmath.mp.zero, mpmath.mp.one, mpmath.mpc
     n = len(E)
     A = [[x or zero for x in row] for row in E]
     p = _lu(A)
@@ -553,21 +639,24 @@ def _det_and_inverse(E):
         p = _lu(A)
         if p is None:
             return 0, None
+        lower = [[(j, x) for j, x in enumerate(row[:i]) if x is not zero]
+                 for i, row in enumerate(A)]
+        upper = [[(j, x) for j, x in enumerate(row[i + 1:], i + 1) if x is not zero]
+                 for i, row in enumerate(A)]
         cols = []
         for c in range(n):
             b = [zero] * n
             b[c] = one
             for k, pk in enumerate(p):
                 b[k], b[pk] = b[pk], b[k]
-            for i in range(1, n):
-                for j in range(i):
-                    if _changes(b[i], A[i][j], b[j]):
-                        b[i] -= A[i][j] * b[j]
+            complex_before = False
+            for i in range(n):
+                b[i] = _subtract_terms(b, i, lower[i], complex_before)
+                complex_before = complex_before or type(b[i]) is mpc
+            complex_before = False
             for i in range(n - 1, -1, -1):
-                for j in range(i + 1, n):
-                    if _changes(b[i], A[i][j], b[j]):
-                        b[i] -= A[i][j] * b[j]
-                b[i] /= A[i][i]
+                b[i] = _subtract_terms(b, i, upper[i], complex_before) / A[i][i]
+                complex_before = complex_before or type(b[i]) is mpc
             cols.append(b)
     return det, [[col[i] or zero for col in cols] for i in range(n)]
 
@@ -581,10 +670,13 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
     that mentions neither t nor the index symbol, and ``_neville_differences``
     the denominators of the extrapolation.  Each is the same mpmath number
     the rung would compute, so every report is bit-identical to evaluating
-    whole trees per rung.  Per rung: the t-dependent rest of the trees, and
-    the basis's determinant and inverse from ``_det_and_inverse``,
-    plain-list LUs that compute what ``mpmath.det`` (at the working
-    precision) and ``mpmath.inverse`` (at 10 bits more) compute.  A basis
+    whole trees per rung.  Per rung: the t-dependent rest of the trees,
+    evaluated through one ``_NumericContext`` (t, the parameters with the
+    index's value, and the branch are the same for every tree of the rung,
+    so one context per tree would only repeat its set-up), and the basis's
+    determinant and inverse from ``_det_and_inverse``, plain-list LUs that
+    compute what ``mpmath.det`` (at the working precision) and
+    ``mpmath.inverse`` (at 10 bits more) compute.  A basis
     that is numerically singular at any rung, including one with a column
     left without a pivot, makes the attempt inconclusive.  An entry whose
     ladder and target are both the exact zero has error exactly 0 and takes
@@ -619,14 +711,12 @@ def _numeric_attempt(source, basis_grid, target, scalar_params, index_expr, bran
     dets = []
     for tstr in ladder:
         tval = mpmath.mpf(tstr)
-        params_t = dict(scalar_params)
+        ctx = _NumericContext(tval, dict(scalar_params), branch)
         if index is not None:
-            params_t[source.symbols[0]] = evaluate_numeric(
-                index, tval, params=scalar_params, branch=branch
-            )
+            ctx.params[source.symbols[0]] = _evaluate(index, ctx)
 
         def value(e):
-            return evaluate_numeric(e, tval, params=params_t, branch=branch)
+            return _evaluate(e, ctx)
 
         E = [[value(e) for e in row] for row in basis]
         det, inv = _det_and_inverse(E)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zinbiel5 import degeneration
 from zinbiel5.algebra import algebra_from_entries, change_basis, zero_algebra
@@ -693,8 +693,49 @@ def _lu_entry(kind, re, im, den):
     return mpmath.mpc(mpmath.mpf(re) / den, 0 if kind == "real mpc" else mpmath.mpf(im) / den)
 
 
+_Z = ("0", 0, 0, 1)
+
+
+def _lu_shortcut_cases(precision):
+    """Specs that take each shortcut of ``_lu`` at the given precision.
+
+    In the first two, column 0 has one candidate and the norm is 1, so
+    tol = 2^(1 - precision); the last row's magnitudes, 7/16 and 7/4 or
+    1/16 and 7/4 times 2^-precision, are all at most tol, and their sum
+    is 35/32 of tol (the LU goes on, and that row's last pivot, also 35/32
+    of tol, passes) or 29/32 of it (the matrix is singular).  In the third,
+    rows 1 and 2 have a zero multiplier against the complex pivot row, and
+    row 1's real 2 becomes complex.  In the fourth, rows 0 and 1 tie, up to
+    the signs of their cells, in the pivot search of column 0.
+    """
+    def tiny_row(t1):
+        return [[("mpf", 1, 0, 1), _Z, _Z],
+                [_Z, ("mpf", 1, 0, 2), ("mpf", -1, 0, 2)],
+                [_Z, ("mpf", t1, 0, 2 ** (precision + 4)), ("mpf", 7, 0, 2 ** (precision + 2))]]
+
+    return [
+        (precision, tiny_row(7)),
+        (precision, tiny_row(1)),
+        (precision, [[("mpf", 1, 0, 1), ("mpc", 1, 1, 1), _Z],
+                     [_Z, ("mpf", 2, 0, 1), ("mpf", 1, 0, 1)],
+                     [_Z, _Z, ("mpf", 1, 0, 1)]]),
+        (precision, [[("mpf", 1, 0, 3), ("mpf", 3, 0, 7), ("mpf", 5, 0, 6)],
+                     [("mpf", -1, 0, 3), ("mpf", 3, 0, 7), ("mpf", -5, 0, 6)],
+                     [_Z, ("mpf", 1, 0, 5), ("mpf", 2, 0, 7)]]),
+    ]
+
+
+def _with_examples(specs):
+    def decorate(test):
+        for spec in specs:
+            test = example(spec)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=300)
 @given(lu_inputs())
+@_with_examples(_lu_shortcut_cases(53) + _lu_shortcut_cases(256))
 def test_list_lu_matches_mpmath(spec):
     """_det_and_inverse is bit-identical to mpmath.det and mpmath.inverse, types included."""
     precision, rows = spec
@@ -716,6 +757,34 @@ def test_list_lu_matches_mpmath(spec):
         [type(x) for x in row] for row in want_inv
     ]
     assert got_inv == want_inv
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (2, 0, 4, 1, 3)])
+def test_diagonal_basis_takes_no_subtraction_and_no_pivot_ratio(monkeypatch, order):
+    """_det_and_inverse of a real diagonal basis, and of one with its rows
+    permuted, subtracts nothing, computes no pivot ratio and sums only the
+    two 1-norms: each column has one candidate row, and every other entry
+    of the factor and of the solves is an exact zero."""
+    _load_mpmath()
+    import mpmath.ctx_mp_python as mp_python
+
+    with mpmath.workprec(256):
+        diagonal = [mpmath.mpf(x) for x in ("2", "-3/7", "1/3", "5", "-11/2")]
+        E = [[diagonal[i] if j == i else mpmath.mp.zero for j in range(5)] for i in order]
+        want = mpmath.det(mpmath.matrix(E)), mpmath.inverse(mpmath.matrix(E)).tolist()
+        calls = {}
+        for module, names in (
+            (mp_python, ("mpf_sub", "mpc_sub", "mpc_sub_mpf", "mpf_rdiv_int", "mpf_sum")),
+            (mpmath.libmp, ("mpf_sub", "mpf_rdiv_int", "mpf_sum")),
+        ):
+            for name in names:
+                def counted(*args, _op=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _op(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        got = _det_and_inverse(E)
+    assert calls == {"mpf_sum": 10}
+    assert got == want
 
 
 EXACT_GRIDS = Path(__file__).resolve().parent / "data" / "exact_grids.json"
