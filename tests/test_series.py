@@ -1,5 +1,8 @@
+import json
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -124,6 +127,32 @@ def test_parse_bounds_the_degree(text, ok):
     else:
         with pytest.raises(ValueError, match=f"power too large.*degree above {MAX_DEGREE}"):
             parse_expression(text)
+
+
+EXPRESSION_TREES = Path(__file__).resolve().parent / "data" / "expression_trees.json"
+
+
+def test_parse_reproduces_expression_tree_golden():
+    """Every text of the golden parses to the tree it records, or raises
+    ``ValueError`` where it records "ValueError".  The texts are every string
+    of the bundled tables, every short string literal of the sources and tests,
+    edge cases (keywords as names, non-ASCII digits, Python-only numerals,
+    calls, comments) and seeded fuzz texts; the trees were captured before
+    the parser was last rewritten.  Any warning is an error here, and the
+    cache is bypassed so that each text is parsed under that filter."""
+    golden = json.loads(EXPRESSION_TREES.read_text(encoding="utf-8"))
+    parse = series._parse_text.__wrapped__
+    wrong = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, want in golden.items():
+            try:
+                got = repr(parse(text))
+            except ValueError:
+                got = "ValueError"
+            if got != want:
+                wrong.append((text, want, got))
+    assert len(golden) > 2000 and not wrong, wrong[:5]
 
 
 def test_parse_caches_each_text_but_no_error():
