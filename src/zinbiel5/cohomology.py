@@ -14,7 +14,6 @@ from .algebra import (
     Algebra,
     _annihilator_rows,
     _components,
-    _memo,
     _reduced,
     _RINGS,
     _system_constants,
@@ -244,12 +243,9 @@ def h2(A: Algebra) -> CohomologyBasis:
     Representatives are chosen greedily from the RREF-canonical Z^2 basis,
     keeping those that enlarge the span of B^2 and the earlier ones
     (:func:`_new_classes`) — deterministic for a given structure tensor.
-    Computed once per algebra.
+    Not kept: no caller asks twice for one instance, and the Z^2 and B^2
+    reductions it reads are kept on the instance.
     """
-    return _memo(A, "_h2", _h2)
-
-
-def _h2(A: Algebra) -> CohomologyBasis:
     z2 = cocycle_space(A)
     b2 = coboundary_space(A)
     reps = [z2[k] for k in _new_classes(b2, z2)]

@@ -1,10 +1,12 @@
 """Expression trees in one deformation parameter and exact Puiseux series.
 
 Expressions cover Gaussian-rational literals, the deformation variable t,
-named parameter symbols, field operations, rational powers and sqrt.  One
-evaluator walks a tree under an exact-series, Q(i)-scalar or mpmath context;
-sqrt is the power 1/2, and exponents are folded by the scalar context; a
-text is parsed once while it stays cached.  The exact tier expands
+named parameter symbols, field operations, rational powers and sqrt.  A text
+is read with Python's own expression grammar (``ast.parse``) over the words
+of ``_tokenize``: ASCII names, numerals d or d.d, ``+ - * / ^ **`` and
+parentheses; it is parsed once while it stays cached.  One evaluator walks a
+tree under an exact-series, Q(i)-scalar or mpmath context; sqrt is the power
+1/2, and exponents are folded by the scalar context.  The exact tier expands
 expressions as Laurent–Puiseux series whose coefficients live in Q(i)
 extended by lazily adjoined square roots of square-free integers.  A series
 is stored cleared: one positive denominator per series and, per nonzero part
@@ -16,6 +18,7 @@ where a coefficient is read.  The numeric tier evaluates with mpmath.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import operator
@@ -229,101 +232,55 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+# the binary operators of Python's grammar that the tokenizer can spell
+_AST_BINARY = {ast.Add: TAdd, ast.Sub: TSub, ast.Mult: TMul, ast.Div: TDiv, ast.Pow: TPow}
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _syntax_tree(text: str) -> TExpression:
+    """Parse text with Python's grammar over ``_tokenize``'s words.
 
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r}, got {val!r}")
-
-    def parse(self) -> TExpression:
-        e = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ValueError(f"trailing input at {val!r}")
-        return e
-
-    def expr(self) -> TExpression:
-        node = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = TAdd(node, rhs) if val == "+" else TSub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> TExpression:
-        node = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                if val == "*":
-                    node = TMul(node, rhs)
-                elif isinstance(node, TNum) and isinstance(rhs, TNum):
-                    # fold literal rationals so 5/2 round-trips as one number
-                    node = TNum(node.value / rhs.value)
-                else:
-                    node = TDiv(node, rhs)
-            else:
-                return node
-
-    def factor(self) -> TExpression:
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            inner = self.factor()
-            if isinstance(inner, TNum):
-                return TNum(-inner.value)
-            return TNeg(inner)
-        if kind == "op" and val == "+":
-            self.take()
-            return self.factor()
-        return self.power()
-
-    def power(self) -> TExpression:
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            exponent = _fold_rational(self.factor())
-            return TPow(base, exponent)
-        return base
-
-    def atom(self) -> TExpression:
-        kind, val = self.take()
+    The tokens are re-spelled as Python: the k-th numeral as the name ``Nk``
+    and a name x as ``_x``, so that no word is a keyword or a literal, and
+    ``^`` as ``**``.  Python then gives ``+ - * /``, the unary signs and the
+    right-associative power their usual precedence.  Literal quotients and
+    negated literals fold to one TNum, so 5/2 and -5 round-trip as numbers.
+    """
+    words, numerals = [], []
+    for kind, val in _tokenize(text)[:-1]:
         if kind == "num":
-            return TNum(val)
-        if kind == "name":
-            if val == "sqrt":
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return TSqrt(inner)
-            if val == "i":
-                return TImag()
-            if val == "t":
-                return TVar()
-            return TSym(val)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ValueError(f"unexpected token {val!r}")
+            words.append(f"N{len(numerals)}")
+            numerals.append(val)
+        else:
+            words.append("_" + val if kind == "name" else "**" if val == "^" else val)
+    try:
+        body = ast.parse(" ".join(words), mode="eval").body
+    except SyntaxError:
+        raise ValueError(f"malformed expression {text[:40]!r}") from None
+
+    def tree(node) -> TExpression:
+        if isinstance(node, ast.BinOp) and type(node.op) in _AST_BINARY:
+            op, left, right = _AST_BINARY[type(node.op)], tree(node.left), tree(node.right)
+            if op is TPow:
+                return TPow(left, _fold_rational(right))
+            if op is TDiv and isinstance(left, TNum) and isinstance(right, TNum):
+                return TNum(left.value / right.value)
+            return op(left, right)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = tree(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return arg
+            return TNum(-arg.value) if isinstance(arg, TNum) else TNeg(arg)
+        if isinstance(node, ast.Name) and node.id != "_sqrt":
+            if node.id[0] == "N":
+                return TNum(numerals[int(node.id[1:])])
+            name = node.id[1:]
+            return TImag() if name == "i" else TVar() if name == "t" else TSym(name)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_sqrt" and len(node.args) == 1 and not node.keywords):
+            return TSqrt(tree(node.args[0]))
+        raise ValueError(f"unexpected {type(node).__name__.lower()} in {text[:40]!r}")
+
+    return tree(body)
 
 
 def _degree(e: TExpression) -> int:
@@ -385,7 +342,7 @@ def _parse_text(text: str) -> TExpression:
         raise ValueError(f"expression nested too deeply in {text[:40]!r}: "
                          f"depth {depth}, at most {MAX_NESTING}")
     try:
-        return _bounded(_Parser(_tokenize(text)).parse(), text)
+        return _bounded(_syntax_tree(text), text)
     except ZeroDivisionError:
         raise ValueError(f"division by zero in {text[:40]!r}") from None
 
@@ -578,13 +535,6 @@ class Radical:
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
-
-    def numeric(self):
-        """mpmath complex value at current mpmath precision."""
-        _load_mpmath()
-        return sum(
-            (_to_mpmath(c) * mpmath.sqrt(d) for d, c in self.terms), mpmath.mpc(0)
-        )
 
     def __str__(self):
         if not self.terms:
@@ -966,17 +916,6 @@ class PuiseuxSeries:
             root = _monomial_coeff_root(self._lead(), e)
             return PuiseuxSeries.t_power(new_exp, root)
         raise NonExpandable(f"cannot raise a non-monomial series to the {e} power")
-
-    # numerics -----------------------------------------------------------------
-
-    def numeric_at(self, tval):
-        """Evaluate the known part at a numeric t (mpmath)."""
-        _load_mpmath()
-        tval = mpmath.mpf(tval)
-        total = mpmath.mpc(0)
-        for k, c in self.coeffs:
-            total += c.numeric() * mpmath.power(tval, mpmath.mpf(k) / self.ram)
-        return total
 
     def __str__(self):
         parts = []

@@ -725,15 +725,6 @@ _NUMERIC_CALLS = {
         "from zinbiel5.series import evaluate_numeric\n",
         "evaluate_numeric('sqrt(4*t^2-5)/(1+i*t)', '0.01')",
     ),
-    "Radical.numeric": (
-        "from zinbiel5.exactmath import grat\n"
-        "from zinbiel5.series import sqrt_gaussian\n",
-        "(sqrt_gaussian(grat(2)) + sqrt_gaussian(grat(-3))).numeric()",
-    ),
-    "PuiseuxSeries.numeric_at": (
-        "from zinbiel5.series import expand_series\n",
-        "expand_series('sqrt(1+t)/(1-t)').numeric_at('1e-3')",
-    ),
 }
 
 
