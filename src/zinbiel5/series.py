@@ -240,8 +240,9 @@ def _syntax_tree(text: str) -> TExpression:
     """Parse text with Python's grammar over ``_tokenize``'s words.
 
     The tokens are re-spelled as Python: the k-th numeral as the name ``Nk``
-    and a name x as ``_x``, so that no word is a keyword or a literal, and
-    ``^`` as ``**``.  Python then gives ``+ - * /``, the unary signs and the
+    and a name x as ``_x``, so that no word is a keyword or a literal (a
+    called literal, as in 2(3), would be a SyntaxWarning), and ``^`` as
+    ``**``.  Python then gives ``+ - * /``, the unary signs and the
     right-associative power their usual precedence.  Literal quotients and
     negated literals fold to one TNum, so 5/2 and -5 round-trip as numbers.
     """
